@@ -13,13 +13,12 @@ from .classical import (
     plotkin_crossing_delta,
     rate_from_form_bound,
 )
-from .combiner import BoundReport, CellMaxima, CombineResult, EtaWeights, cell_quadratic, combine, full_bound
+from .combiner import BoundReport, CellMaxima, CombineResult, combine, full_bound
 from .configs import CellPair, Configuration, PartitionKind, PartitionSpec, enumerate_candidates
 from .optimize import (
     Budget,
     BudgetExceeded,
     CellMaxResult,
-    certify_excess,
     compute_all_cell_maxima,
     compute_cell_max,
     global_form_max,
@@ -35,11 +34,8 @@ from .oracle import (
     sample_subdomain,
 )
 from .seppoly import (
-    DistVec,
     SepParams,
-    elem_sym_excluding,
     sep_batch,
-    sep_fast,
     sep_naive,
     sep_uniform_exact,
     sep_uniform_fraction,

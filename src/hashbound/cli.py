@@ -3,15 +3,12 @@
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 budget
 exceeded.  Output formats: aligned text (default), CSV with upward-rounded
 bound columns plus full-precision ``_raw`` shadows, or JSON objects carrying
-``"schema": 1``.  ``HASHBOUND_THREADS`` caps the worker count used to fan out
-independent table rows; output order never depends on completion order.
+``"schema": 1``.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -21,15 +18,13 @@ from .classical import (
     NonMonotoneF,
     ProblemParams,
     balanced_fixed_point,
-    conjectured_bound,
     dvj_bound,
-    fredman_komlos,
     korner_marton,
     load_tabulated_f,
     plotkin_combined_k4,
     plotkin_crossing_delta,
 )
-from .combiner import BoundReport, full_bound
+from .combiner import BoundReport, classical_bounds, full_bound
 from .configs import CellPair, PartitionKind, PartitionSpec
 from .optimize import Budget, BudgetExceeded, compute_cell_max
 from .oracle import max_code_exhaustive, sample_subdomain
@@ -44,16 +39,6 @@ EXIT_BUDGET = 3
 
 class VerificationFailure(RuntimeError):
     pass
-
-
-def _workers() -> int:
-    env = os.environ.get("HASHBOUND_THREADS")
-    if env is not None:
-        n = int(env)
-        if n < 1:
-            raise click.UsageError("HASHBOUND_THREADS must be >= 1")
-        return n
-    return min(4, os.cpu_count() or 1)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -193,23 +178,15 @@ def cmd_bound(b, k, j, partition, eps, preset, grid, certify, fmt, out, budget_s
         _emit(render_csv(headers, rows), out)
 
 
-def _table1_row(row: presets.Table1Row, grid: int, budget: Budget) -> dict:
-    params = ProblemParams(row.b, row.k)
-    km, km_j = korner_marton(params)
+def _table1_row(row: presets.Table1Row, grid: int, budget: Budget) -> list:
     if row.shortcut:
         rep = full_bound(row.b, row.k, budget=budget, grid=grid)
     else:
         pre = presets.PARTITION_PRESETS[(row.b, row.k)]
         rep = full_bound(row.b, row.k, pre.j, pre.spec(), grid=grid, budget=budget)
-    return {
-        "b": row.b,
-        "k": row.k,
-        "ours": rep.bound,
-        "path": rep.path,
-        "km": km,
-        "arikan_lit": row.arikan,
-        "gr_lit": row.gr,
-    }
+    km = rep.classical["korner_marton"]
+    return [row.b, row.k, round_up_str(rep.bound, 5), repr(rep.bound), rep.path,
+            round_up_str(km, 5), repr(km), row.arikan, row.gr]
 
 
 @cli.command("table")
@@ -224,15 +201,9 @@ def cmd_table(which, grid, fmt, out, budget_secs):
     static reference data and tagged as such)."""
     budget = _budget(budget_secs)
     if which == "table1":
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            rows = list(pool.map(lambda r: _table1_row(r, grid, budget), presets.TABLE1))
         headers = ["b", "k", "ours", "ours_raw", "path", "km", "km_raw",
                    "arikan_lit", "gr_lit"]
-        data = [
-            [r["b"], r["k"], round_up_str(r["ours"], 5), repr(r["ours"]), r["path"],
-             round_up_str(r["km"], 5), repr(r["km"]), r["arikan_lit"], r["gr_lit"]]
-            for r in rows
-        ]
+        data = [_table1_row(row, grid, budget) for row in presets.TABLE1]
     elif which == "table2-computed-columns":
         headers = ["b", "k", "dvj", "dvj_raw", "costa_dalai_lit", "arikan_lit",
                    "gr_lit", "km_extended_lit"]
@@ -249,26 +220,21 @@ def cmd_table(which, grid, fmt, out, budget_secs):
             data.append([row.b, row.k, round_up_str(v, 7), repr(v),
                          row.gr, row.costa_dalai, row.arikan])
     elif which == "msvalues":
-        def one(item):
-            (b, k), pre = item
-            rep = full_bound(b, k, pre.j, pre.spec(), grid=grid, budget=budget)
-            return [b, k, pre.kind.value, pre.eps_label,
-                    repr(rep.combined_form_bound), repr(presets.COMBINED_M[(b, k)])]
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            data = list(pool.map(one, sorted(presets.PARTITION_PRESETS.items())))
         headers = ["b", "k", "partition", "eps", "combined_form_raw", "published_ref"]
+        data = []
+        for (b, k), pre in sorted(presets.PARTITION_PRESETS.items()):
+            rep = full_bound(b, k, pre.j, pre.spec(), grid=grid, budget=budget)
+            data.append([b, k, pre.kind.value, pre.eps_label,
+                         repr(rep.combined_form_bound), repr(presets.COMBINED_M[(b, k)])])
     else:  # mi-tables
-        def one(item):
-            (b, k), pre = item
-            spec = pre.spec()
+        headers = ["b", "k", "partition", "eps", "m1_raw", "m2_raw", "m3_raw", "m4_raw"]
+        data = []
+        for (b, k), pre in sorted(presets.PARTITION_PRESETS.items()):
             vals = [
-                compute_cell_max(spec, wh, b, pre.j, grid=grid, budget=budget).value
+                compute_cell_max(pre.spec(), wh, b, pre.j, grid=grid, budget=budget).value
                 for wh in CellPair
             ]
-            return [b, k, pre.kind.value, pre.eps_label] + [repr(v) for v in vals]
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            data = list(pool.map(one, sorted(presets.PARTITION_PRESETS.items())))
-        headers = ["b", "k", "partition", "eps", "m1_raw", "m2_raw", "m3_raw", "m4_raw"]
+            data.append([b, k, pre.kind.value, pre.eps_label] + [repr(v) for v in vals])
 
     if fmt == "json":
         payload = {"schema": 1, "preset": which,
@@ -360,16 +326,8 @@ def cmd_sweep_eps(b, k, j, partition, eps_min, eps_max, steps, grid, fmt, out, b
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_classical(b, k, f_table, fmt, out):
     """Closed-form comparison bounds for one (b,k)."""
-    params = ProblemParams(b, k)
-    km, km_j = korner_marton(params)
-    vals = {
-        "fredman_komlos": fredman_komlos(params),
-        "korner_marton": km,
-        "korner_marton_j": km_j,
-        "dvj": dvj_bound(params),
-        "conjectured": conjectured_bound(params),
-        "conjectured_flag": "conjecture, not a theorem",
-    }
+    vals = classical_bounds(ProblemParams(b, k))
+    vals["conjectured_flag"] = "conjecture, not a theorem"
     if k == 4:
         vals["plotkin_combined"] = plotkin_combined_k4(b)
         vals["plotkin_crossing_delta"] = plotkin_crossing_delta(b)

@@ -69,39 +69,8 @@ class CellMaxima:
         return self.m4 > self.m3
 
 
-@dataclass(frozen=True)
-class EtaWeights:
-    """Bulk weight eta_0 with the remaining mass spread evenly over b cells."""
-
-    eta0: float
-    b: int
-
-    def __post_init__(self):
-        if not -1e-12 <= self.eta0 <= 1 + 1e-12:
-            raise ValueError(f"eta0={self.eta0!r} outside [0, 1]")
-
-    @property
-    def rest(self) -> float:
-        return (1.0 - self.eta0) / self.b
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.eta0] + [self.rest] * self.b)
-
-
-def cell_quadratic(mi: CellMaxima, eta) -> float:
-    """f(eta) for a full (b+1)-component weight vector."""
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (mi.b + 1,):
-        raise ValueError(f"expected {mi.b + 1} weights, got shape {eta.shape}")
-    eta0, rest = eta[0], eta[1:]
-    s = rest.sum()
-    sq = float(rest @ rest)
-    cross = (s * s - sq) / 2.0
-    return eta0 * eta0 * mi.m1 + 2.0 * eta0 * s * mi.m2 + sq * mi.m3 + 2.0 * cross * mi.m4
-
-
 def cell_quadratic_batch(mi: CellMaxima, etas: np.ndarray) -> np.ndarray:
-    """Vectorized ``cell_quadratic`` over rows of an (N, b+1) array."""
+    """f(eta) for each row of an (N, b+1) array of full weight vectors."""
     etas = np.asarray(etas, dtype=float)
     eta0 = etas[:, 0]
     rest = etas[:, 1:]
@@ -117,11 +86,6 @@ class CombineResult:
     eta0: float
     rest_shape: str          # "symmetric" or "vertex"
     used_fallback: bool      # published closed form needs m4 > m3
-
-    def weights(self, b: int) -> EtaWeights | None:
-        if self.rest_shape == "symmetric":
-            return EtaWeights(self.eta0, b)
-        return None
 
 
 def _quad_candidates(m1: float, m2: float, a: float) -> list[float]:
@@ -211,6 +175,18 @@ class BoundReport:
         return cls(**d)
 
 
+def classical_bounds(params: ProblemParams) -> dict:
+    """The closed-form comparison bounds a report carries, in report order."""
+    km, km_j = korner_marton(params)
+    return {
+        "fredman_komlos": fredman_komlos(params),
+        "korner_marton": km,
+        "korner_marton_j": km_j,
+        "dvj": dvj_bound(params),
+        "conjectured": conjectured_bound(params),
+    }
+
+
 def _cells_to_dict(cells: dict[CellPair, CellMaxResult]) -> dict:
     out = {}
     for which, res in cells.items():
@@ -279,6 +255,8 @@ def full_bound(
         for which, res in cells.items():
             if res.exactness == "upper_bound":
                 flags.append(f"{which.label}:upper-bound")
+            if res.certify_capped:
+                flags.append(f"{which.label}:certify-node-cap")
         partition_rate = rate_from_form_bound(b, k, pj, comb.value)
 
     if (b, k) in presets.UNIFORM_GLOBAL_MAX_PAIRS:
@@ -310,12 +288,7 @@ def full_bound(
         if global_at_uniform:
             flags.append("global:uniform-closed-form")
 
-    classical = {"fredman_komlos": fredman_komlos(params)}
-    km, km_j = korner_marton(params)
-    classical["korner_marton"] = km
-    classical["korner_marton_j"] = km_j
-    classical["dvj"] = dvj_bound(params)
-    classical["conjectured"] = conjectured_bound(params)
+    classical = classical_bounds(params)
     flags.append("conjectured:not-a-theorem")
 
     return BoundReport(

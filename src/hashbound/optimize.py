@@ -11,19 +11,18 @@ the total scan stays near 45*grid points (the cube of the nominal count would
 be far beyond any stated time budget and buys nothing for these tame
 polynomials).  Golden-value tests pin the outcomes.
 
-Certification is optional.  ``certify_excess`` returns the plain Lipschitz
-slack L*h*sqrt(d)/2 for a given grid step; the certified mode of
-``compute_cell_max`` instead runs a small branch-and-bound whose per-cell
-upper bound exploits monotonicity (the polynomial only grows when any
-coordinate grows, so evaluating at the cell-wise coordinate maxima bounds the
-cell rigorously).
+Certification is optional.  The certified mode of ``compute_cell_max`` runs
+a small branch-and-bound whose per-cell upper bound exploits monotonicity
+(the polynomial only grows when any coordinate grows, so evaluating at the
+cell-wise coordinate maxima bounds the cell rigorously).  A search that hits
+its node cap still returns a valid but looser bound and says so in
+``CellMaxResult.certify_capped``.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ from .configs import (
     enumerate_candidates,
     global_candidates,
 )
-from .seppoly import elem_sym_excluding, sep_batch
+from .seppoly import sep_batch
 
 _REFINE_STEP = 1e-12
 _ZOOM_POINTS = {1: 17, 2: 7, 3: 5}
@@ -80,7 +79,9 @@ class CellMaxResult:
     ``exactness`` is "attained" when the published reduction claims the
     supremum is attained on the family list (closure of the cell pair) and
     "upper_bound" when it only dominates it.  ``certified_excess`` is the
-    additive slack of the certified run, 0 when certification is off.
+    additive slack of the certified run, 0 when certification is off;
+    ``certify_capped`` is True when the branch-and-bound of some configuration
+    stopped at its node cap, so the slack may exceed the requested tolerance.
     """
 
     selector: CellPair
@@ -92,6 +93,7 @@ class CellMaxResult:
     exactness: str
     certified_excess: float = 0.0
     vacuous_families: tuple[str, ...] = ()
+    certify_capped: bool = False
 
 
 def _axis_counts(dim: int, grid: int) -> list[int]:
@@ -212,72 +214,6 @@ def maximize_config(config: Configuration, *, grid: int = 400, budget: Budget = 
 # ---------------------------------------------------------------------------
 
 
-def _corner_upper_vectors(config: Configuration, lo: np.ndarray, hi: np.ndarray):
-    """Coordinate-wise maxima of p and q over a sub-box [lo, hi]."""
-    ubs = []
-    for blocks in (config.blocks_p, config.blocks_q):
-        vec = []
-        for blk in blocks:
-            v = blk.const
-            for idx, coef in blk.coeffs:
-                v += coef * (hi[idx] if coef >= 0 else lo[idx])
-            v = min(v, blk.hi)  # the mask forbids anything above the block cap
-            v = max(v, 0.0)
-            vec.extend([v] * blk.mult)
-        ubs.append(np.array(vec))
-    return ubs[0], ubs[1]
-
-
-def _gradient_norm_bound(config: Configuration) -> float:
-    """Coarse interval bound on the gradient norm over the whole box.
-
-    Each partial of the polynomial w.r.t. a coordinate is a sum of
-    nonnegative monomials; bounding the leave-out elementary symmetric factors
-    at the coordinate-wise box maxima bounds it termwise.  Chain rule through
-    the affine blocks then bounds the partial w.r.t. each free variable.
-    """
-    d = config.dim
-    if d == 0:
-        return 0.0
-    lo = np.array([fv.lo for fv in config.free])
-    hi = np.array([fv.hi for fv in config.free])
-    ubp, ubq = _corner_upper_vectors(config, lo, hi)
-    j = config.j
-    jf = math.factorial(j)
-
-    def coord_partial_bound(u_own: np.ndarray, u_other: np.ndarray) -> float:
-        # d/dp_m <= j! * (sum_{m'} q_{m'} e_{j-1}(p) + e_j(q)), bounded at the box maxima
-        ej1 = elem_sym_excluding(np.append(u_own, 0.0), j - 1, len(u_own))
-        ej = elem_sym_excluding(np.append(u_other, 0.0), j, len(u_other))
-        return jf * (float(u_other.sum()) * ej1 + ej)
-
-    dpsi_dp = coord_partial_bound(ubp, ubq)
-    dpsi_dq = coord_partial_bound(ubq, ubp)
-    total = 0.0
-    for i in range(d):
-        li = 0.0
-        for blocks, bound in ((config.blocks_p, dpsi_dp), (config.blocks_q, dpsi_dq)):
-            for blk in blocks:
-                for idx, coef in blk.coeffs:
-                    if idx == i:
-                        li += blk.mult * abs(coef) * bound
-        total += li * li
-    return math.sqrt(total)
-
-
-def certify_excess(config: Configuration, grid_step: float) -> float:
-    """Additive Lipschitz slack L*h*sqrt(d)/2 for a dense scan of step h.
-
-    The best grid value plus this slack dominates the true supremum over the
-    box: every box point sits within h*sqrt(d)/2 of a grid point and L bounds
-    the gradient norm.  Zero free variables need no slack.
-    """
-    d = config.dim
-    if d == 0:
-        return 0.0
-    return _gradient_norm_bound(config) * grid_step * math.sqrt(d) / 2.0
-
-
 def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) -> np.ndarray:
     """Monotone interval bound per cell, -inf for provably infeasible cells.
 
@@ -325,25 +261,26 @@ def _certified_supremum(
     tol: float = 1e-5,
     max_nodes: int = 20000,
     budget: Budget = NO_BUDGET,
-) -> float:
+) -> tuple[float, bool]:
     """Rigorous upper bound on the configuration supremum via branch-and-bound.
 
     ``lower`` is the incumbent to certify against (typically the best value
     found across all configurations): cells whose monotone interval bound
     cannot exceed lower + tol are pruned, widest-axis splits otherwise, and
-    children are bounded in batches.  Always returns a valid upper bound on
-    the configuration supremum capped from below at ``lower``; the result is
-    looser than lower + tol only if the node cap is hit.
+    children are bounded in batches.  Returns a valid upper bound on the
+    configuration supremum capped from below at ``lower``, and whether the
+    node cap was hit, the only case in which the bound may be looser than
+    lower + tol.
     """
     d = config.dim
     if d == 0:
         res = maximize_config(config, grid=2, budget=budget)
-        return max(lower, res.value if res is not None else lower)
+        return max(lower, res.value if res is not None else lower), False
     lo0 = np.array([fv.lo for fv in config.free])
     hi0 = np.array([fv.hi for fv in config.free])
     root = float(_cell_bounds_batch(config, lo0[None, :], hi0[None, :])[0])
     if not np.isfinite(root):
-        return lower
+        return lower, False
     heap = [(-root, 0, lo0, hi0)]
     counter = 1
     processed = 0
@@ -354,13 +291,11 @@ def _certified_supremum(
             neg_ub, _, lo, hi = heapq.heappop(heap)
             ub = -neg_ub
             if ub <= lower + tol:
-                return max(lower, ub)  # heap is max-first: everything else is smaller
+                return max(lower, ub), False  # heap is max-first: everything else is smaller
             if (hi - lo).max() < _REFINE_STEP:
-                return max(lower, ub)  # cannot usefully split further
+                return max(lower, ub), False  # cannot usefully split further
             group_lo.append(lo)
             group_hi.append(hi)
-        if not group_lo:
-            break
         processed += len(group_lo)
         los = np.array(group_lo)
         his = np.array(group_hi)
@@ -376,9 +311,9 @@ def _certified_supremum(
             if np.isfinite(val) and val > lower + tol:
                 heapq.heappush(heap, (-float(val), counter, child_lo[i], child_hi[i]))
                 counter += 1
-    if heap:
-        return max(lower, -heap[0][0])
-    return lower
+    if heap:  # node cap hit: the heap top still bounds every open cell
+        return max(lower, -heap[0][0]), True
+    return lower, False
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +354,15 @@ def compute_cell_max(
     if best is None:
         raise ValueError(f"every configuration vacuous for {which} at (b={b}, j={j})")
     excess = 0.0
+    capped = False
     if certify:
         # certify against the best value across configurations: dominated
         # configurations prune in a handful of splits
         certified = best.value
         for cfg, _res in results:
-            certified = max(
-                certified,
-                _certified_supremum(cfg, best.value, tol=cert_tol, budget=budget),
-            )
+            sup, hit = _certified_supremum(cfg, best.value, tol=cert_tol, budget=budget)
+            certified = max(certified, sup)
+            capped |= hit
         excess = max(0.0, certified - best.value)
     exactness = (
         "upper_bound" if (spec.kind, which) in UPPER_BOUND_ONLY else "attained"
@@ -442,6 +377,7 @@ def compute_cell_max(
         exactness=exactness,
         certified_excess=excess,
         vacuous_families=tuple(vacuous),
+        certify_capped=capped,
     )
 
 

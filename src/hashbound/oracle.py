@@ -32,27 +32,6 @@ _INCONCLUSIVE_ACCEPT_RATE = 1e-4
 # ---------------------------------------------------------------------------
 
 
-def in_bulk(v: np.ndarray, spec: PartitionSpec) -> bool:
-    if spec.kind is PartitionKind.MAX_VALUE:
-        return bool(np.all(v <= 1.0 - spec.eps))
-    return bool(np.all(v >= spec.eps))
-
-
-def in_tagged(v: np.ndarray, spec: PartitionSpec, i: int) -> bool:
-    """Membership in the i-th tagged cell (0-based coordinate index).
-
-    Max partition: coordinate i exceeds 1-eps.  Min partition: coordinate i is
-    a minimum below eps, strictly smaller than every earlier coordinate.
-    """
-    if spec.kind is PartitionKind.MAX_VALUE:
-        return bool(v[i] > 1.0 - spec.eps)
-    if not v[i] < spec.eps:
-        return False
-    if not np.all(v >= v[i]):
-        return False
-    return bool(np.all(v[:i] > v[i]))
-
-
 def _bulk_mask(V: np.ndarray, spec: PartitionSpec) -> np.ndarray:
     if spec.kind is PartitionKind.MAX_VALUE:
         return (V <= 1.0 - spec.eps).all(axis=1)
@@ -253,25 +232,6 @@ def is_bk_hash(code: Code, k: int) -> tuple[bool, tuple[int, ...] | None]:
     return True, None
 
 
-def is_bk_hash_bitset(code: Code, k: int) -> tuple[bool, tuple[int, ...] | None]:
-    """Second implementation (per-coordinate symbol bitmasks); test oracle."""
-    if k > len(code.words):
-        return True, None
-    masks = [[1 << w[i] for w in code.words] for i in range(code.n)]
-    for subset in itertools.combinations(range(len(code.words)), k):
-        ok = False
-        for col in masks:
-            acc = 0
-            for w in subset:
-                acc |= col[w]
-            if acc.bit_count() == k:
-                ok = True
-                break
-        if not ok:
-            return False, subset
-    return True, None
-
-
 @dataclass(frozen=True)
 class SearchResult:
     size: int
@@ -377,10 +337,6 @@ class LemmaReport:
 _LEMMA_SLACK = 1e-12
 
 
-def _pair_vals(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
-    return sep_batch(P, Q, j)
-
-
 def check_lemma_inequalities(
     which: str, b: int, j: int, count: int, seed: int
 ) -> LemmaReport:
@@ -466,8 +422,8 @@ def check_lemma_inequalities(
     else:
         raise ValueError(f"unknown lemma id {which!r} (expected L6/L7/L8/L9)")
 
-    lhs = _pair_vals(lhs_P, lhs_Q, j)
-    rhs = _pair_vals(rhs_P, rhs_Q, j)
+    lhs = sep_batch(lhs_P, lhs_Q, j)
+    rhs = sep_batch(rhs_P, rhs_Q, j)
     margin = rhs - lhs
     bad = margin < -_LEMMA_SLACK
     worst = float(margin.min()) if count else 0.0

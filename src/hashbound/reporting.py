@@ -1,4 +1,4 @@
-"""Rounding and rendering helpers shared by the CLI and the tests.
+"""Upward rounding of reported bounds and the CLI's text, CSV and JSON renderers.
 
 Reported bounds are rounded upward (ceiling at the requested decimal place):
 a rounded-up upper bound is still an upper bound.  Internal comparisons always
@@ -22,30 +22,6 @@ def round_up(x: float, places: int = 5) -> float:
 def round_up_str(x: float, places: int = 5) -> str:
     q = Decimal(1).scaleb(-places)
     return str(Decimal(x).quantize(q, rounding=ROUND_CEILING))
-
-
-def matches_printed(computed: float, printed: str) -> bool:
-    """Does ``computed`` reproduce a printed decimal after upward rounding?
-
-    The printed string fixes the precision: "0.16894" checks the 5th decimal,
-    "8.4300e-3" checks the mantissa at 4 decimals, and so on.  The ceiling is
-    taken after a relative nudge of 1e-11 so that values which are exact in
-    decimal but land one binary ulp above their decimal expansion (0.192,
-    0.0036288, ...) do not spill onto the next grid point.
-    """
-    printed = printed.strip()
-    if "e" in printed or "E" in printed:
-        mant_s, exp_s = printed.lower().split("e")
-        exp = int(exp_s)
-        scaled = computed / (10.0 ** exp)
-        places = len(mant_s.split(".")[1]) if "." in mant_s else 0
-        return float(round_up_str(_nudge(scaled), places)) == float(mant_s)
-    places = len(printed.split(".")[1]) if "." in printed else 0
-    return float(round_up_str(_nudge(computed), places)) == float(printed)
-
-
-def _nudge(x: float) -> float:
-    return x - abs(x) * 1e-11
 
 
 def render_text_table(headers: list[str], rows: list[list[str]]) -> str:

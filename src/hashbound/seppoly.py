@@ -15,9 +15,10 @@ Grouping the tuples by their trailing index gives the identity
     S_j(p, q) = j! * sum_m ( q[m] * e_j(p \\ m) + p[m] * e_j(q \\ m) )
 
 where ``e_j(v \\ m)`` is the j-th elementary symmetric polynomial of v with
-coordinate m removed.  ``sep_fast`` and the bulk evaluator ``sep_batch`` use
-this form; ``sep_naive`` enumerates tuples literally and serves as an
-independent cross-check oracle for small b.
+coordinate m removed.  ``sep_batch``, the one evaluator the engine uses,
+applies this form to stacks of vector pairs; ``sep_naive`` enumerates tuples
+literally and serves as the verification battery's independent oracle for
+small b.
 
 All monomials have nonnegative coefficients, so evaluation involves no
 cancellation: every routine here is unconditionally stable and monotone
@@ -32,9 +33,6 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
-
-#: tolerance for the unit-sum check at DistVec construction
-SUM_TOL = 1e-12
 
 #: hard cap on b for the naive evaluator (factorial blowup guard)
 NAIVE_B_CAP = 8
@@ -52,47 +50,6 @@ class NaiveCapExceeded(ValueError):
 
 
 @dataclass(frozen=True)
-class DistVec:
-    """A length-b vector of nonnegative reals summing to one.
-
-    ``relaxed`` instances skip the unit-sum check.  Optimizers pass slightly
-    off-sum intermediate points (constraint elimination leaves rounding of a
-    few ulps) and are responsible for their own hygiene; everything else
-    should construct strict instances.
-    """
-
-    values: tuple[float, ...]
-    relaxed: bool = False
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError("empty distribution")
-        low = min(self.values)
-        if low < 0.0:
-            raise ValueError(f"negative entry {low!r} in distribution")
-        if not self.relaxed:
-            total = math.fsum(self.values)
-            if abs(total - 1.0) > SUM_TOL:
-                raise ValueError(f"entries sum to {total!r}, not 1 (tol {SUM_TOL})")
-
-    @classmethod
-    def uniform(cls, b: int) -> "DistVec":
-        return cls((1.0 / b,) * b)
-
-    @classmethod
-    def unnormalized(cls, values) -> "DistVec":
-        """Relaxed constructor for optimizer-internal intermediate points."""
-        return cls(tuple(float(v) for v in values), relaxed=True)
-
-    @property
-    def b(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
-@dataclass(frozen=True)
 class SepParams:
     """Alphabet size b and polynomial order j, with 2 <= j <= b-1."""
 
@@ -106,17 +63,17 @@ class SepParams:
             raise ValueError(f"order j={self.j} must satisfy 2 <= j <= b-1={self.b - 1}")
 
 
-def _check_pair(p: DistVec, q: DistVec, params: SepParams) -> None:
-    if p.b != params.b or q.b != params.b:
-        raise DimensionMismatch(f"expected dimension {params.b}, got {p.b} and {q.b}")
+def sep_naive(p, q, params: SepParams) -> float:
+    """Literal tuple-enumeration evaluator; independent oracle, b <= NAIVE_B_CAP only.
 
-
-def sep_naive(p: DistVec, q: DistVec, params: SepParams) -> float:
-    """Literal tuple-enumeration evaluator; independent oracle, b <= NAIVE_B_CAP only."""
-    _check_pair(p, q, params)
+    ``p`` and ``q`` are plain length-b sequences of nonnegative reals.
+    """
+    if len(p) != params.b or len(q) != params.b:
+        raise DimensionMismatch(f"expected dimension {params.b}, got {len(p)} and {len(q)}")
     if params.b > NAIVE_B_CAP:
         raise NaiveCapExceeded(f"b={params.b} exceeds naive cap {NAIVE_B_CAP}")
-    pv, qv = p.values, q.values
+    pv = [float(v) for v in p]
+    qv = [float(v) for v in q]
     j = params.j
     total = 0.0
     for tup in permutations(range(params.b), j + 1):
@@ -128,51 +85,6 @@ def sep_naive(p: DistVec, q: DistVec, params: SepParams) -> float:
             qprod *= qv[i]
         total += pprod * qv[m] + qprod * pv[m]
     return total
-
-
-def elem_sym_excluding(values, j: int, excluded: int) -> float:
-    """e_j of ``values`` with coordinate ``excluded`` removed.
-
-    Ascending one-pass recurrence over the kept coordinates; all terms are
-    nonnegative for nonnegative input so there is no cancellation.  j = 0
-    returns 1 by convention.
-    """
-    n = len(values)
-    if not 0 <= excluded < n:
-        raise IndexError(f"excluded index {excluded} out of range for length {n}")
-    if not 0 <= j <= n - 1:
-        raise ValueError(f"j={j} must be in [0, {n - 1}]")
-    e = [0.0] * (j + 1)
-    e[0] = 1.0
-    seen = 0
-    for i in range(n):
-        if i == excluded:
-            continue
-        v = values[i]
-        seen += 1
-        for t in range(min(j, seen), 0, -1):
-            e[t] += v * e[t - 1]
-    return e[j]
-
-
-def sep_fast(p: DistVec, q: DistVec, params: SepParams) -> float:
-    """O(b^2 j) evaluator via the leave-one-out elementary symmetric identity.
-
-    Recomputes e_j per excluded index rather than deflating the full e-vector,
-    which would cancel catastrophically near zero coordinates.
-    """
-    _check_pair(p, q, params)
-    pv, qv = p.values, q.values
-    j = params.j
-    acc = 0.0
-    for m in range(params.b):
-        # the two addends swap under p <-> q; forming their sum before
-        # accumulating keeps the evaluation exactly symmetric (IEEE addition
-        # commutes, it just does not associate)
-        x = qv[m] * elem_sym_excluding(pv, j, m) if qv[m] != 0.0 else 0.0
-        y = pv[m] * elem_sym_excluding(qv, j, m) if pv[m] != 0.0 else 0.0
-        acc += x + y
-    return math.factorial(j) * acc
 
 
 def sep_uniform_fraction(params: SepParams) -> Fraction:
@@ -220,10 +132,11 @@ def _loo_esym(V: np.ndarray, j: int) -> np.ndarray:
 
 
 def sep_batch(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
-    """Vectorized ``sep_fast`` over stacks of vectors.
+    """S_j over stacks of vectors via the leave-one-out identity.
 
-    P, Q have shape (N, b) with rows paired; returns shape (N,).  Agrees with
-    ``sep_fast`` to well below 1e-12 (same arithmetic up to summation order).
+    P, Q have shape (N, b) with rows paired; returns shape (N,).  The two
+    per-row sums swap under P <-> Q and are added last, so the result is
+    exactly symmetric in P and Q.
     """
     P = np.ascontiguousarray(P, dtype=float)
     Q = np.ascontiguousarray(Q, dtype=float)

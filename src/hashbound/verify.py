@@ -2,9 +2,7 @@
 
 Each check returns a CheckResult; the CLI turns any failure into exit code 2.
 All randomness is seeded, so two runs with the same seed produce identical
-reports.  ``perturb`` exists for fault-injection tests: it is added to the
-fast evaluator's output inside the oracle-equivalence check and must make the
-suite fail when larger than the tolerance.
+reports.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from .combiner import CellMaxima, cell_quadratic_batch, combine
 from .configs import CellPair, PartitionKind, PartitionSpec
 from .optimize import compute_cell_max
 from .oracle import check_lemma_inequalities, sample_subdomain
-from .seppoly import DistVec, SepParams, sep_batch, sep_naive
+from .seppoly import SepParams, sep_batch, sep_naive
 
 ORACLE_TOL = 1e-12
 
@@ -29,18 +27,16 @@ class CheckResult:
     detail: str
 
 
-def check_oracle_equivalence(
-    b: int, j: int, count: int, seed: int, *, perturb: float = 0.0
-) -> CheckResult:
-    """|sep_fast - sep_naive| <= 1e-12 on random simplex pairs."""
+def check_oracle_equivalence(b: int, j: int, count: int, seed: int) -> CheckResult:
+    """|sep_batch - sep_naive| <= 1e-12 on random simplex pairs."""
     rng = np.random.Generator(np.random.PCG64(seed))
     P = rng.dirichlet(np.ones(b), size=count)
     Q = rng.dirichlet(np.ones(b), size=count)
-    fast = sep_batch(P, Q, j) + perturb
+    fast = sep_batch(P, Q, j)
     params = SepParams(b, j)
     worst = 0.0
     for i in range(count):
-        ref = sep_naive(DistVec.unnormalized(P[i]), DistVec.unnormalized(Q[i]), params)
+        ref = sep_naive(P[i], Q[i], params)
         worst = max(worst, abs(fast[i] - ref))
     return CheckResult(
         name=f"oracle-equivalence b={b} j={j} n={count}",
@@ -109,12 +105,11 @@ def run_verification(
     eta_count: int = 100000,
     dominance_count: int = 20000,
     grid: int = 200,
-    perturb: float = 0.0,
 ) -> list[CheckResult]:
     """The default cross-validation battery (a trimmed acceptance run)."""
     out: list[CheckResult] = []
     for i, (b, j) in enumerate(naive_pairs):
-        out.append(check_oracle_equivalence(b, j, naive_count, seed + i, perturb=perturb))
+        out.append(check_oracle_equivalence(b, j, naive_count, seed + i))
     for i, which in enumerate(("L6", "L7", "L8", "L9")):
         out.append(check_lemma(which, 6, 4, lemma_count, seed + 100 + i))
     out.append(

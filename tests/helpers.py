@@ -1,16 +1,23 @@
 """Independent oracles used by the tests.
 
 These deliberately share no code with the production evaluators: the batched
-naive evaluator enumerates index tuples literally, and the elementary
-symmetric oracle expands the generating polynomial by convolution, and the
-decimal oracles re-evaluate the closed forms and the combiner at 50 digits.
+naive evaluator enumerates index tuples literally, the elementary symmetric
+oracle expands the generating polynomial by convolution, the decimal oracles
+re-evaluate the closed forms and the combiner at 50 digits, the cell
+predicates test one vector at a time where the sampler masks whole batches,
+and the hash-code checker compares symbol bitmasks where the engine compares
+symbol sets.
 """
 
+import itertools
 import math
 from decimal import ROUND_CEILING, Decimal, localcontext
 from itertools import permutations
 
 import numpy as np
+
+from hashbound.configs import PartitionKind, PartitionSpec
+from hashbound.reporting import round_up_str
 
 
 def sep_naive_batch(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
@@ -53,6 +60,47 @@ def sep_by_convolution(p, q, j: int) -> float:
         q[m] * esym_excluding_poly(p, j, m) + p[m] * esym_excluding_poly(q, j, m)
         for m in range(len(p))
     )
+
+
+def in_bulk(v: np.ndarray, spec: PartitionSpec) -> bool:
+    if spec.kind is PartitionKind.MAX_VALUE:
+        return bool(np.all(v <= 1.0 - spec.eps))
+    return bool(np.all(v >= spec.eps))
+
+
+def in_tagged(v: np.ndarray, spec: PartitionSpec, i: int) -> bool:
+    """Membership in the i-th tagged cell (0-based coordinate index).
+
+    Max partition: coordinate i exceeds 1-eps.  Min partition: coordinate i is
+    a minimum below eps, strictly smaller than every earlier coordinate.
+    """
+    if spec.kind is PartitionKind.MAX_VALUE:
+        return bool(v[i] > 1.0 - spec.eps)
+    if not v[i] < spec.eps:
+        return False
+    if not np.all(v >= v[i]):
+        return False
+    return bool(np.all(v[:i] > v[i]))
+
+
+def is_bk_hash_bitset(code, k: int) -> tuple[bool, tuple[int, ...] | None]:
+    """(b,k)-hash check by per-coordinate symbol bitmasks; same contract as
+    ``hashbound.oracle.is_bk_hash``."""
+    if k > len(code.words):
+        return True, None
+    masks = [[1 << w[i] for w in code.words] for i in range(code.n)]
+    for subset in itertools.combinations(range(len(code.words)), k):
+        ok = False
+        for col in masks:
+            acc = 0
+            for w in subset:
+                acc |= col[w]
+            if acc.bit_count() == k:
+                ok = True
+                break
+        if not ok:
+            return False, subset
+    return True, None
 
 
 def random_simplex(rng: np.random.Generator, b: int, n: int = 1) -> np.ndarray:
@@ -151,3 +199,27 @@ def ceil_as_printed(value: Decimal, printed: str) -> str:
         out = str(scaled.quantize(Decimal(1).scaleb(-places), rounding=ROUND_CEILING))
     return f"{out}e{exp}" if exp else out
 
+
+
+def matches_printed(computed: float, printed: str) -> bool:
+    """Does ``computed`` reproduce a printed decimal after upward rounding?
+
+    The printed string fixes the precision: "0.16894" checks the 5th decimal,
+    "8.4300e-3" checks the mantissa at 4 decimals, and so on.  The ceiling is
+    taken after a relative nudge of 1e-11 so that values which are exact in
+    decimal but land one binary ulp above their decimal expansion (0.192,
+    0.0036288, ...) do not spill onto the next grid point.
+    """
+    printed = printed.strip()
+    if "e" in printed or "E" in printed:
+        mant_s, exp_s = printed.lower().split("e")
+        exp = int(exp_s)
+        scaled = computed / (10.0 ** exp)
+        places = len(mant_s.split(".")[1]) if "." in mant_s else 0
+        return float(round_up_str(_nudge(scaled), places)) == float(mant_s)
+    places = len(printed.split(".")[1]) if "." in printed else 0
+    return float(round_up_str(_nudge(computed), places)) == float(printed)
+
+
+def _nudge(x: float) -> float:
+    return x - abs(x) * 1e-11

@@ -36,7 +36,7 @@ from hashbound.combiner import CellMaxima, cell_quadratic_batch, combine, full_b
 from hashbound.configs import CellPair, PartitionKind
 from hashbound.optimize import compute_cell_max
 from hashbound.oracle import max_code_exhaustive, sample_subdomain
-from hashbound.reporting import matches_printed, round_up
+from hashbound.reporting import round_up
 from hashbound.seppoly import sep_batch
 from hashbound.verify import check_lemma_inequalities
 
@@ -46,6 +46,7 @@ from helpers import (
     combine_decimal,
     dvj_decimal,
     korner_marton_decimal,
+    matches_printed,
     printed_ulp,
     rate_decimal,
     sep_by_convolution,

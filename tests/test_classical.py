@@ -19,8 +19,10 @@ from hashbound.classical import (
     plotkin_delta,
     rate_from_form_bound,
 )
-from hashbound.reporting import matches_printed, round_up
+from hashbound.reporting import round_up
 from hashbound.seppoly import SepParams, sep_uniform_exact
+
+from helpers import matches_printed
 
 LOG2 = math.log2
 

@@ -208,15 +208,3 @@ def test_sample_mi_command(capsys):
     )
     assert code == EXIT_OK
     assert "best_sampled" in out
-
-
-def test_threads_env_cap(capsys, monkeypatch):
-    subset = {(6, 6): presets.PARTITION_PRESETS[(6, 6)]}
-    monkeypatch.setattr(presets, "PARTITION_PRESETS", subset)
-    monkeypatch.setenv("HASHBOUND_THREADS", "1")
-    code, out, _ = run(capsys, "table", "--preset", "mi-tables", "--grid", "120",
-                       "--format", "csv")
-    assert code == EXIT_OK
-    monkeypatch.setenv("HASHBOUND_THREADS", "0")
-    code, _, _ = run(capsys, "table", "--preset", "mi-tables", "--grid", "120")
-    assert code == EXIT_USAGE

@@ -6,8 +6,6 @@ import pytest
 from hashbound.combiner import (
     BoundReport,
     CellMaxima,
-    EtaWeights,
-    cell_quadratic,
     cell_quadratic_batch,
     combine,
     full_bound,
@@ -20,6 +18,11 @@ MI_55 = CellMaxima(0.384033, 0.389226, 0.374759, 0.389226, 5)
 def test_cell_maxima_validation():
     with pytest.raises(ValueError):
         CellMaxima(0.0, 0.1, 0.1, 0.1, 5)
+
+
+def cell_quadratic(mi: CellMaxima, eta) -> float:
+    """f(eta) for one full weight vector, through ``cell_quadratic_batch``."""
+    return float(cell_quadratic_batch(mi, np.asarray(eta, dtype=float)[None, :])[0])
 
 
 def test_quadratic_endpoints():
@@ -84,15 +87,6 @@ def test_combine_fallback_when_m4_not_above_m3():
     vertex = t * t * mi.m1 + 2 * t * (1 - t) * mi.m2 + (1 - t) ** 2 * mi.m3
     assert res.value == pytest.approx(vertex.max(), abs=1e-9)
     assert res.rest_shape == "vertex"
-    assert res.weights(mi.b) is None
-
-
-def test_eta_weights():
-    w = EtaWeights(0.25, 5)
-    assert w.rest == pytest.approx(0.15)
-    assert w.as_vector().sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        EtaWeights(1.5, 5)
 
 
 def test_full_bound_six_six(partition_report):

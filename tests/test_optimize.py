@@ -5,7 +5,6 @@ from hashbound.configs import CellPair, PartitionKind, PartitionSpec, enumerate_
 from hashbound.optimize import (
     Budget,
     BudgetExceeded,
-    certify_excess,
     compute_all_cell_maxima,
     compute_cell_max,
     global_form_max,
@@ -66,25 +65,38 @@ def test_global_form_max_truncated_simplex():
     assert res.value == pytest.approx(0.192, abs=1e-9)
 
 
-def test_certify_excess_shape():
-    spec = PartitionSpec(PartitionKind.MIN_VALUE, 0.05)
-    cfgs = enumerate_candidates(spec, CellPair.BULK_BULK, 6, 4)
-    flat = next(c for c in cfgs if c.dim == 0)
-    assert certify_excess(flat, 1e-3) == 0.0
-    curved = next(c for c in cfgs if c.dim >= 1)
-    one = certify_excess(curved, 1e-3)
-    assert one > 0.0
-    # slack is linear in the grid step
-    assert certify_excess(curved, 2e-3) == pytest.approx(2 * one, rel=1e-12)
-    assert certify_excess(curved, 1e-9) < 1e-5
-
-
 def test_certified_mode_small_excess():
     spec = PartitionSpec(PartitionKind.MIN_VALUE, 0.05)
     res = compute_cell_max(spec, CellPair.BULK_BULK, 6, 4, grid=200, certify=True)
     assert 0.0 <= res.certified_excess < 1e-4
     plain = compute_cell_max(spec, CellPair.BULK_BULK, 6, 4, grid=200)
     assert res.value == pytest.approx(plain.value, abs=1e-12)
+    assert not res.certify_capped and not plain.certify_capped
+
+
+def test_certify_node_cap_is_reported(monkeypatch):
+    # on the (5,5) preset the same-tag search stops at its node cap with a
+    # slack far above the requested tolerance; the cross-tag one finishes
+    from hashbound import combiner, presets
+
+    pre = presets.PARTITION_PRESETS[(5, 5)]
+    capped = compute_cell_max(pre.spec(), CellPair.TAGGED_SAME, 5, pre.j, certify=True)
+    assert capped.certify_capped
+    assert capped.certified_excess > 1e-5
+    done = compute_cell_max(pre.spec(), CellPair.TAGGED_CROSS, 5, pre.j, certify=True)
+    assert not done.certify_capped
+    assert done.certified_excess <= 1e-5
+
+    # the report flags exactly the capped cell
+    def with_certified_tags(*args, **kwargs):
+        cells = compute_all_cell_maxima(*args, **kwargs)
+        cells[CellPair.TAGGED_SAME] = capped
+        cells[CellPair.TAGGED_CROSS] = done
+        return cells
+
+    monkeypatch.setattr(combiner, "compute_all_cell_maxima", with_certified_tags)
+    rep = combiner.full_bound(5, 5, pre.j, pre.spec())
+    assert [f for f in rep.flags if f.endswith(":certify-node-cap")] == ["m3:certify-node-cap"]
 
 
 def test_budget_exceeded():

@@ -8,14 +8,13 @@ from hashbound.optimize import compute_cell_max
 from hashbound.oracle import (
     Code,
     check_lemma_inequalities,
-    in_bulk,
-    in_tagged,
     is_bk_hash,
-    is_bk_hash_bitset,
     max_code_exhaustive,
     sample_subdomain,
 )
-from hashbound.seppoly import DistVec, SepParams, sep_fast
+from hashbound.seppoly import sep_batch
+
+from helpers import in_bulk, in_tagged, is_bk_hash_bitset
 
 
 # ---------------------------------------------------------------------------
@@ -189,25 +188,23 @@ def test_lemma_suites_pass(which):
 def test_lemma_l9_boundary_delta_equals_eps():
     # delta = eps empties the rest of p: p collapses to a vertex
     b, j, eps = 6, 4, 0.3
-    params = SepParams(b, j)
-    q1 = 1.0 - eps
-    q = DistVec.unnormalized([q1] + [eps / (b - 1)] * (b - 1))
-    lhs_p = DistVec.unnormalized([1.0] + [0.0] * (b - 1))
-    rhs_p = DistVec.unnormalized([1.0 - eps, eps] + [0.0] * (b - 2))
-    assert sep_fast(lhs_p, q, params) <= sep_fast(rhs_p, q, params) + 1e-12
+    q = [1.0 - eps] + [eps / (b - 1)] * (b - 1)
+    lhs_p = [1.0] + [0.0] * (b - 1)
+    rhs_p = [1.0 - eps, eps] + [0.0] * (b - 2)
+    lhs, rhs = sep_batch(np.array([lhs_p, rhs_p]), np.array([q, q]), j)
+    assert lhs <= rhs + 1e-12
 
 
 def test_lemma_l8_boundary_p1_exactly_at_cap():
     b, j = 6, 4
     eps = 1.0 / (j + 1)
-    params = SepParams(b, j)
-    p = DistVec.unnormalized([1.0 - eps] + [eps / (b - 1)] * (b - 1))
+    p = np.array([[1.0 - eps] + [eps / (b - 1)] * (b - 1)])
     rng = np.random.default_rng(6)
     for _ in range(50):
         q = np.sort(rng.dirichlet(np.ones(b)))
         merged = np.array([0.0, q[0] + q[1], *q[2:]])
-        lhs = sep_fast(p, DistVec.unnormalized(q), params)
-        rhs = sep_fast(p, DistVec.unnormalized(merged), params)
+        lhs = sep_batch(p, q[None, :], j)[0]
+        rhs = sep_batch(p, merged[None, :], j)[0]
         assert lhs <= rhs + 1e-12
 
 

@@ -7,30 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from hashbound.seppoly import (
     DimensionMismatch,
-    DistVec,
     NaiveCapExceeded,
     SepParams,
-    elem_sym_excluding,
+    _loo_esym,
     sep_batch,
-    sep_fast,
     sep_naive,
     sep_uniform_exact,
     sep_uniform_fraction,
 )
 
-from helpers import esym_excluding_poly, sep_naive_batch
+from helpers import esym_excluding_poly, sep_by_convolution, sep_naive_batch
 
 
-def test_distvec_validation():
-    DistVec((0.5, 0.5))
-    with pytest.raises(ValueError):
-        DistVec((0.5, 0.6))
-    with pytest.raises(ValueError):
-        DistVec((-0.1, 1.1))
-    # relaxed constructor skips the sum check, not the sign check
-    DistVec.unnormalized((0.5, 0.6))
-    with pytest.raises(ValueError):
-        DistVec.unnormalized((-0.1, 0.2))
+def _one_row(p, q, j: int) -> float:
+    """``sep_batch`` on a single (p, q) pair."""
+    return float(sep_batch(np.array([p], dtype=float), np.array([q], dtype=float), j)[0])
 
 
 def test_params_validation():
@@ -45,43 +36,44 @@ def test_params_validation():
 
 def test_naive_uniform_six_four():
     params = SepParams(6, 4)
-    u = DistVec.uniform(6)
+    u = (1 / 6,) * 6
     assert sep_naive(u, u, params) == pytest.approx(5 / 27, abs=1e-12)
 
 
 def test_naive_vertex_against_spread():
     params = SepParams(6, 4)
-    p = DistVec((1.0, 0, 0, 0, 0, 0))
-    q = DistVec((0.0,) + (0.2,) * 5)
+    p = (1.0, 0, 0, 0, 0, 0)
+    q = (0.0,) + (0.2,) * 5
     assert sep_naive(p, q, params) == pytest.approx(0.192, abs=1e-12)
 
 
 def test_naive_zero_when_support_too_small():
     # fewer than j nonzero entries on both sides kills every product
     params = SepParams(6, 4)
-    p = DistVec((0.4, 0.6, 0, 0, 0, 0))
-    q = DistVec((0, 0, 0.7, 0.3, 0, 0))
+    p = (0.4, 0.6, 0, 0, 0, 0)
+    q = (0, 0, 0.7, 0.3, 0, 0)
     assert sep_naive(p, q, params) == 0.0
-    assert sep_fast(p, q, params) == 0.0
+    assert _one_row(p, q, params.j) == 0.0
 
 
 def test_naive_guards():
     with pytest.raises(NaiveCapExceeded):
-        sep_naive(DistVec.uniform(9), DistVec.uniform(9), SepParams(9, 4))
+        sep_naive((1 / 9,) * 9, (1 / 9,) * 9, SepParams(9, 4))
     with pytest.raises(DimensionMismatch):
-        sep_naive(DistVec.uniform(5), DistVec.uniform(6), SepParams(6, 4))
+        sep_naive((0.2,) * 5, (1 / 6,) * 6, SepParams(6, 4))
 
 
 def test_fast_uniform_seven_five():
-    val = sep_fast(DistVec.uniform(7), DistVec.uniform(7), SepParams(7, 5))
+    u = (1 / 7,) * 7
+    val = _one_row(u, u, 5)
     assert val == pytest.approx(1440 / 16807, abs=1e-15)
     assert val == pytest.approx(0.085679, abs=1e-6)
 
 
 def test_fast_vertex_seven_five():
-    p = DistVec((1.0,) + (0.0,) * 6)
-    q = DistVec((0.0,) + (1 / 6,) * 6)
-    assert sep_fast(p, q, SepParams(7, 5)) == pytest.approx(720 / 7776, abs=1e-15)
+    p = (1.0,) + (0.0,) * 6
+    q = (0.0,) + (1 / 6,) * 6
+    assert _one_row(p, q, 5) == pytest.approx(720 / 7776, abs=1e-15)
 
 
 def test_fast_matches_naive_oracle():
@@ -89,10 +81,9 @@ def test_fast_matches_naive_oracle():
     params = SepParams(6, 3)
     P = rng.dirichlet(np.ones(6), size=300)
     Q = rng.dirichlet(np.ones(6), size=300)
+    fast = sep_batch(P, Q, params.j)
     for i in range(300):
-        fast = sep_fast(DistVec.unnormalized(P[i]), DistVec.unnormalized(Q[i]), params)
-        ref = sep_naive(DistVec.unnormalized(P[i]), DistVec.unnormalized(Q[i]), params)
-        assert abs(fast - ref) <= 1e-12
+        assert abs(fast[i] - sep_naive(P[i], Q[i], params)) <= 1e-12
 
 
 def test_batch_matches_fast_and_batched_oracle():
@@ -103,35 +94,31 @@ def test_batch_matches_fast_and_batched_oracle():
         batch = sep_batch(P, Q, j)
         oracle = sep_naive_batch(P, Q, j)
         assert np.abs(batch - oracle).max() <= 1e-12
-        params = SepParams(b, j)
-        spot = [17, 119, 301]
-        for i in spot:
-            assert batch[i] == pytest.approx(
-                sep_fast(DistVec.unnormalized(P[i]), DistVec.unnormalized(Q[i]), params),
-                abs=1e-14,
-            )
+        for i in (17, 119, 301):
+            assert batch[i] == pytest.approx(sep_by_convolution(P[i], Q[i], j), abs=1e-14)
 
 
 def test_elem_sym_basics():
-    assert elem_sym_excluding((0.3, 0.5, 0.2), 1, 0) == pytest.approx(0.7, abs=1e-15)
-    assert elem_sym_excluding((1 / 6,) * 6, 4, 0) == pytest.approx(5 / 1296, abs=1e-16)
-    assert elem_sym_excluding((0.1, 0.2), 0, 1) == 1.0
-    with pytest.raises(IndexError):
-        elem_sym_excluding((0.1, 0.2), 1, 5)
-    with pytest.raises(ValueError):
-        elem_sym_excluding((0.1, 0.2), 2, 0)
+    assert _loo_esym(np.array([[0.3, 0.5, 0.2]]), 1)[0, 0] == pytest.approx(0.7, abs=1e-15)
+    assert _loo_esym(np.full((1, 6), 1 / 6), 4)[0, 0] == pytest.approx(5 / 1296, abs=1e-16)
+    assert _loo_esym(np.array([[0.1, 0.2]]), 0)[0, 1] == 1.0
 
 
 def test_elem_sym_against_polynomial_expansion():
+    # every b <= 8 and every order j, with exact zeros mixed into the rows
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(3, 9))
-        v = rng.random(n)
-        j = int(rng.integers(0, n))
-        excl = int(rng.integers(0, n))
-        assert elem_sym_excluding(v, j, excl) == pytest.approx(
-            esym_excluding_poly(v, j, excl), rel=1e-13, abs=1e-15
-        )
+    for b in range(2, 9):
+        V = rng.random((6, b))
+        V[rng.random((6, b)) < 0.3] = 0.0
+        V[0] = 0.0
+        V[1, 1:] = 0.0
+        for j in range(b):
+            loo = _loo_esym(V, j)
+            for n in range(V.shape[0]):
+                for m in range(b):
+                    assert loo[n, m] == pytest.approx(
+                        esym_excluding_poly(V[n], j, m), rel=1e-13, abs=1e-15
+                    ), (b, j, n, m)
 
 
 def test_uniform_closed_form_values():
@@ -147,11 +134,9 @@ def test_uniform_closed_form_values():
 
 def test_uniform_closed_form_matches_fast():
     for b in range(3, 16):
+        u = (1 / b,) * b
         for j in range(2, b):
-            u = DistVec.uniform(b)
-            assert abs(
-                sep_fast(u, u, SepParams(b, j)) - sep_uniform_exact(SepParams(b, j))
-            ) <= 1e-14
+            assert abs(_one_row(u, u, j) - sep_uniform_exact(SepParams(b, j))) <= 1e-14
 
 
 @st.composite
@@ -178,20 +163,17 @@ def simplex_pair(draw):
 @given(simplex_pair())
 def test_symmetry_in_p_and_q(data):
     b, j, p, q = data
-    params = SepParams(b, j)
-    dp, dq = DistVec.unnormalized(p), DistVec.unnormalized(q)
-    assert sep_fast(dp, dq, params) == sep_fast(dq, dp, params)
+    assert _one_row(p, q, j) == _one_row(q, p, j)
 
 
 @settings(max_examples=150, deadline=None)
 @given(simplex_pair(), st.randoms(use_true_random=False))
 def test_permutation_equivariance(data, pyrandom):
     b, j, p, q = data
-    params = SepParams(b, j)
     perm = list(range(b))
     pyrandom.shuffle(perm)
     pp = tuple(p[i] for i in perm)
     qq = tuple(q[i] for i in perm)
-    before = sep_fast(DistVec.unnormalized(p), DistVec.unnormalized(q), params)
-    after = sep_fast(DistVec.unnormalized(pp), DistVec.unnormalized(qq), params)
+    before = _one_row(p, q, j)
+    after = _one_row(pp, qq, j)
     assert abs(before - after) <= 1e-14

@@ -1,7 +1,8 @@
+import hashbound.verify
 from hashbound.verify import check_oracle_equivalence, run_verification
 
 
-def _trimmed(seed=42, perturb=0.0):
+def _trimmed(seed=42):
     return run_verification(
         seed=seed,
         naive_count=300,
@@ -9,7 +10,6 @@ def _trimmed(seed=42, perturb=0.0):
         eta_count=10000,
         dominance_count=4000,
         grid=120,
-        perturb=perturb,
     )
 
 
@@ -24,8 +24,10 @@ def test_battery_deterministic():
     assert a == b
 
 
-def test_fault_injection_trips_oracle_check():
+def test_fault_injection_trips_oracle_check(monkeypatch):
     good = check_oracle_equivalence(6, 4, 200, seed=1)
     assert good.passed
-    bad = check_oracle_equivalence(6, 4, 200, seed=1, perturb=1e-6)
+    sep_batch = hashbound.verify.sep_batch
+    monkeypatch.setattr(hashbound.verify, "sep_batch", lambda P, Q, j: sep_batch(P, Q, j) + 1e-6)
+    bad = check_oracle_equivalence(6, 4, 200, seed=1)
     assert not bad.passed
