@@ -11,10 +11,18 @@ the total scan stays near 45*grid points (the cube of the nominal count would
 be far beyond any stated time budget and buys nothing for these tame
 polynomials).  Golden-value tests pin the outcomes.
 
-Certification is optional.  The certified mode of ``compute_cell_max`` runs
-a small branch-and-bound whose per-cell upper bound exploits monotonicity
-(the polynomial only grows when any coordinate grows, so evaluating at the
-cell-wise coordinate maxima bounds the cell rigorously).  A search that hits
+The polynomial only grows when any coordinate grows, so evaluating it at the
+coordinate-wise maxima of a box bounds the box rigorously.  ``compute_cell_max``
+and ``global_form_max`` share one loop that first bounds every configuration's
+whole box this way, then maximizes the configurations in descending order of
+that root bound and stops at the first one whose bound lies strictly below the
+incumbent: neither it nor any configuration after it can reach the maximum.
+The winner is the same as a scan of every configuration would give: highest
+value, ties broken by the smallest ``Configuration.describe()``.
+
+Certification is optional.  The certified mode of ``compute_cell_max`` runs a
+small branch-and-bound per maximized configuration on the same monotone bound,
+starting from the root bound the scan already computed.  A search that hits
 its node cap still returns a valid but looser bound and says so in
 ``CellMaxResult.certify_capped``.
 """
@@ -210,8 +218,15 @@ def maximize_config(config: Configuration, *, grid: int = 400, budget: Budget = 
 
 
 # ---------------------------------------------------------------------------
-# certification
+# monotone box bounds and certification
 # ---------------------------------------------------------------------------
+
+
+_FEAS_PAD = 1e-12
+
+
+def _root_box(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([fv.lo for fv in config.free]), np.array([fv.hi for fv in config.free]))
 
 
 def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) -> np.ndarray:
@@ -219,8 +234,10 @@ def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) 
 
     For each block the value range over a cell follows from interval
     arithmetic on its affine expression; a block range disjoint from the
-    block's admissible band makes the whole cell infeasible.  Otherwise the
-    polynomial at the coordinate-wise (clipped) maxima dominates the cell.
+    block's admissible band, padded by ``_FEAS_PAD``, makes the whole cell
+    infeasible.  Otherwise the polynomial at the coordinate-wise maxima,
+    clipped to the padded band, dominates every point of the cell that
+    ``Configuration.assemble`` admits.
     """
     n = los.shape[0]
     feas = np.ones(n, dtype=bool)
@@ -239,7 +256,7 @@ def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) 
                     vlo += coef * his[:, idx]
                     vhi += coef * los[:, idx]
             feas &= (vhi >= blk.lo - _FEAS_PAD) & (vlo <= blk.hi + _FEAS_PAD)
-            np.minimum(vhi, blk.hi, out=vhi)
+            np.minimum(vhi, blk.hi + _FEAS_PAD, out=vhi)
             np.maximum(vhi, 0.0, out=vhi)
             side[:, col : col + blk.mult] = vhi[:, None]
             col += blk.mult
@@ -251,12 +268,16 @@ def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) 
     return out
 
 
-_FEAS_PAD = 1e-12
+def _root_bound(config: Configuration) -> float:
+    """Monotone bound on the configuration's whole box, -inf when provably infeasible."""
+    lo, hi = _root_box(config)
+    return float(_cell_bounds_batch(config, lo[None, :], hi[None, :])[0])
 
 
 def _certified_supremum(
     config: Configuration,
     lower: float,
+    root: float,
     *,
     tol: float = 1e-5,
     max_nodes: int = 20000,
@@ -265,22 +286,18 @@ def _certified_supremum(
     """Rigorous upper bound on the configuration supremum via branch-and-bound.
 
     ``lower`` is the incumbent to certify against (typically the best value
-    found across all configurations): cells whose monotone interval bound
-    cannot exceed lower + tol are pruned, widest-axis splits otherwise, and
-    children are bounded in batches.  Returns a valid upper bound on the
-    configuration supremum capped from below at ``lower``, and whether the
-    node cap was hit, the only case in which the bound may be looser than
-    lower + tol.
+    found across all configurations) and ``root`` the monotone bound of the
+    whole box: cells whose bound cannot exceed lower + tol are pruned,
+    widest-axis splits otherwise, and children are bounded in batches.
+    Returns a valid upper bound on the configuration supremum capped from
+    below at ``lower``, and whether the node cap was hit, the only case in
+    which the bound may be looser than lower + tol.
     """
-    d = config.dim
-    if d == 0:
-        res = maximize_config(config, grid=2, budget=budget)
-        return max(lower, res.value if res is not None else lower), False
-    lo0 = np.array([fv.lo for fv in config.free])
-    hi0 = np.array([fv.hi for fv in config.free])
-    root = float(_cell_bounds_batch(config, lo0[None, :], hi0[None, :])[0])
     if not np.isfinite(root):
         return lower, False
+    if config.dim == 0:  # the bound of a point is its value
+        return max(lower, root), False
+    lo0, hi0 = _root_box(config)
     heap = [(-root, 0, lo0, hi0)]
     counter = 1
     processed = 0
@@ -321,6 +338,41 @@ def _certified_supremum(
 # ---------------------------------------------------------------------------
 
 
+def _best_config(
+    configs: list[Configuration], *, grid: int, budget: Budget, what: str
+) -> tuple[ConfigMax | None, Configuration | None, list[tuple[Configuration, ConfigMax, float]], list[str]]:
+    """Maximize the configurations that their root-box bound does not prove dominated.
+
+    Configurations are maximized in descending order of their root bound; the
+    scan stops at the first bound strictly below the incumbent, since no
+    configuration from there on can reach it.  Returns the winner (highest
+    value, ties to the smallest ``describe()``) with its configuration, the
+    (configuration, maximum, root bound) of every configuration maximized,
+    and the ``describe()`` of every configuration found to have no feasible
+    point.  Configurations skipped as dominated are not examined further.
+    """
+    roots = [_root_bound(cfg) for cfg in configs]
+    best: ConfigMax | None = None
+    best_cfg: Configuration | None = None
+    scanned: list[tuple[Configuration, ConfigMax, float]] = []
+    vacuous: list[str] = []
+    for i in sorted(range(len(configs)), key=lambda i: -roots[i]):
+        cfg, root = configs[i], roots[i]
+        if best is not None and root < best.value:
+            break
+        budget.check(what)
+        res = maximize_config(cfg, grid=grid, budget=budget) if np.isfinite(root) else None
+        if res is None:
+            vacuous.append(cfg.describe())
+            continue
+        scanned.append((cfg, res, root))
+        if best is None or res.value > best.value or (
+            res.value == best.value and cfg.describe() < best_cfg.describe()
+        ):
+            best, best_cfg = res, cfg
+    return best, best_cfg, scanned, vacuous
+
+
 def compute_cell_max(
     spec: PartitionSpec,
     which: CellPair,
@@ -332,35 +384,28 @@ def compute_cell_max(
     cert_tol: float = 1e-5,
     budget: Budget = NO_BUDGET,
 ) -> CellMaxResult:
-    """Maximize over every candidate configuration of one cell-pair selector."""
+    """Maximize over every candidate configuration of one cell-pair selector.
+
+    ``vacuous_families`` lists the configurations found to have no feasible
+    point; configurations skipped as dominated are not among them.
+    """
     candidates = enumerate_candidates(spec, which, b, j)
     if not candidates:
         raise ValueError(f"no candidate configurations for {which} at (b={b}, j={j})")
-    best: ConfigMax | None = None
-    best_cfg: Configuration | None = None
-    vacuous: list[str] = []
-    results: list[tuple[Configuration, ConfigMax]] = []
-    for cfg in candidates:
-        budget.check(f"{which.label} enumeration")
-        res = maximize_config(cfg, grid=grid, budget=budget)
-        if res is None:
-            vacuous.append(cfg.describe())
-            continue
-        results.append((cfg, res))
-        if best is None or res.value > best.value or (
-            res.value == best.value and cfg.describe() < best_cfg.describe()
-        ):
-            best, best_cfg = res, cfg
+    best, best_cfg, scanned, vacuous = _best_config(
+        candidates, grid=grid, budget=budget, what=f"{which.label} enumeration"
+    )
     if best is None:
         raise ValueError(f"every configuration vacuous for {which} at (b={b}, j={j})")
     excess = 0.0
     capped = False
     if certify:
         # certify against the best value across configurations: dominated
-        # configurations prune in a handful of splits
+        # configurations prune in a handful of splits, and those the scan
+        # skipped have a root bound below it already
         certified = best.value
-        for cfg, _res in results:
-            sup, hit = _certified_supremum(cfg, best.value, tol=cert_tol, budget=budget)
+        for cfg, _res, root in scanned:
+            sup, hit = _certified_supremum(cfg, best.value, root, tol=cert_tol, budget=budget)
             certified = max(certified, sup)
             capped |= hit
         excess = max(0.0, certified - best.value)
@@ -400,12 +445,9 @@ def compute_all_cell_maxima(
 
 def global_form_max(b: int, j: int, *, grid: int = 400, budget: Budget = NO_BUDGET) -> ConfigMax:
     """Unconstrained maximum of the order-j polynomial over simplex pairs."""
-    best: ConfigMax | None = None
-    for cfg in global_candidates(b, j):
-        budget.check("global max")
-        res = maximize_config(cfg, grid=grid, budget=budget)
-        if res is not None and (best is None or res.value > best.value):
-            best = res
+    best, _cfg, _scanned, _vacuous = _best_config(
+        global_candidates(b, j), grid=grid, budget=budget, what="global max"
+    )
     if best is None:
         raise ValueError(f"global maximum enumeration vacuous at (b={b}, j={j})")
     return best

@@ -90,7 +90,7 @@ class SampleReport:
     engine_value: float | None = None
 
     def dominated(self, engine_value: float, excess: float = 0.0, slack: float = 1e-9) -> bool:
-        return self.best_value <= engine_value + excess + slack
+        return bool(self.best_value <= engine_value + excess + slack)
 
 
 def sample_subdomain(

@@ -15,18 +15,27 @@ Grouping the tuples by their trailing index gives the identity
     S_j(p, q) = j! * sum_m ( q[m] * e_j(p \\ m) + p[m] * e_j(q \\ m) )
 
 where ``e_j(v \\ m)`` is the j-th elementary symmetric polynomial of v with
-coordinate m removed.  ``sep_batch``, the one evaluator the engine uses,
-applies this form to stacks of vector pairs; ``sep_naive`` enumerates tuples
-literally and serves as the verification battery's independent oracle for
-small b.
+coordinate m removed.  Each of the two sums is one coefficient of a
+generating polynomial (Macdonald, *Symmetric Functions and Hall Polynomials*,
+section I.2): the [t^j s^1] coefficient of
 
-All monomials have nonnegative coefficients, so evaluation involves no
+    prod_i ( 1 + p[i] t + q[i] s )
+
+is sum_m q[m] e_j(p \\ m), and with p and q swapped it is the other sum.
+``sep_batch``, the one evaluator the engine uses, multiplies this product out
+one coordinate at a time over stacks of vector pairs, truncated to degree j
+in t and degree 1 in s; ``sep_naive`` enumerates tuples literally and serves
+as the verification battery's independent oracle for small b.
+
+All monomials have nonnegative coefficients, and every coefficient update is
+a sum of products of nonnegative numbers, so evaluation involves no
 cancellation: every routine here is unconditionally stable and monotone
 nondecreasing in each coordinate of p and q.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +46,7 @@ import numpy as np
 #: hard cap on b for the naive evaluator (factorial blowup guard)
 NAIVE_B_CAP = 8
 
-#: chunk size for the bulk evaluator, keeps the prefix/suffix tables small
+#: rows per chunk of the bulk evaluator, keeps the coefficient arrays small
 _BATCH_CHUNK = 8192
 
 
@@ -103,52 +112,62 @@ def sep_uniform_exact(params: SepParams) -> float:
     return float(sep_uniform_fraction(params))
 
 
-def _loo_esym(V: np.ndarray, j: int) -> np.ndarray:
-    """Leave-one-out elementary symmetric values for a stack of vectors.
+@functools.lru_cache(maxsize=256)
+def _row_bands(b: int, j: int) -> tuple[tuple[int, slice, slice, slice, slice, slice], ...]:
+    """Per coordinate, the coefficient rows ``sep_batch``'s updates can change.
 
-    V has shape (N, b); the result ``out[n, m] = e_j(V[n] without column m)``.
-    Uses prefix/suffix tables: e_j(v \\ m) = sum_t pre[m][t] * suf[m+1][j-t].
-    Still cancellation-free (sums of nonnegative products only).
+    Before coordinate i, rows above i of A and above i-1 of B are still zero,
+    and once i is done, rows of B below j-(b-1-i) and rows of A below one
+    more than that can no longer reach degree j in the b-1-i coordinates
+    left.  Updating only the rows in between leaves ``B[j]`` bit-identical
+    to the update of every row: the skipped terms add exact zeros or only
+    feed rows that are never read again.
     """
-    N, b = V.shape
-    pre = np.zeros((b + 1, j + 1, N))
-    pre[0, 0] = 1.0
-    for m in range(b):
-        v = V[:, m]
-        pre[m + 1, 0] = pre[m, 0]
-        for t in range(1, j + 1):
-            pre[m + 1, t] = pre[m, t] + v * pre[m, t - 1]
-    suf = np.zeros((b + 1, j + 1, N))
-    suf[b, 0] = 1.0
-    for m in range(b - 1, -1, -1):
-        v = V[:, m]
-        suf[m, 0] = suf[m + 1, 0]
-        for t in range(1, j + 1):
-            suf[m, t] = suf[m + 1, t] + v * suf[m + 1, t - 1]
-    # out[m] = sum_t pre[m, t] * suf[m+1, j-t]
-    left = pre[:b]                      # (b, j+1, N)
-    right = suf[1:, ::-1, :]            # right[m, t] = suf[m+1][j-t]
-    return np.einsum("mtn,mtn->nm", left, right)
+    bands = []
+    for i in range(b):
+        lo, top = max(0, j - (b - 1 - i)), min(i, j)
+        s, top_a = max(lo, 1), min(i + 1, j)
+        bands.append((i, slice(s, top + 1), slice(s - 1, top), slice(lo, top + 1),
+                      slice(lo + 1, top_a + 1), slice(lo, top_a)))
+    return tuple(bands)
 
 
 def sep_batch(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
-    """S_j over stacks of vectors via the leave-one-out identity.
+    """S_j over stacks of vector pairs via the generating polynomial.
 
-    P, Q have shape (N, b) with rows paired; returns shape (N,).  The two
-    per-row sums swap under P <-> Q and are added last, so the result is
-    exactly symmetric in P and Q.
+    P, Q have shape (N, b) with rows paired; returns shape (N,).  Each chunk
+    stacks V = [P; Q] against W = [Q; P] and multiplies out
+    prod_i (1 + V_i t + W_i s) one coordinate at a time, truncated to degree
+    j in t and degree 1 in s: ``A[a]`` holds the [t^a s^0] coefficient and
+    ``B[a]`` the [t^a s^1] one, each update restricted to the rows that can
+    still change ``B[j]`` (``_row_bands``).  The first half of ``B[j]`` is then
+    sum_m q[m] e_j(p \\ m) and the second half sum_m p[m] e_j(q \\ m); they
+    swap under P <-> Q and are added last, so the result is exactly
+    symmetric in P and Q.  Every update adds products of nonnegative numbers,
+    so the evaluation is cancellation-free and, rounding included, monotone
+    nondecreasing in each entry of P and Q.
     """
     P = np.ascontiguousarray(P, dtype=float)
     Q = np.ascontiguousarray(Q, dtype=float)
     if P.shape != Q.shape or P.ndim != 2:
         raise DimensionMismatch(f"paired stacks required, got {P.shape} and {Q.shape}")
-    N = P.shape[0]
+    N, b = P.shape
     jf = float(math.factorial(j))
     out = np.empty(N)
     for lo in range(0, N, _BATCH_CHUNK):
         hi = min(lo + _BATCH_CHUNK, N)
-        Pc, Qc = P[lo:hi], Q[lo:hi]
-        loo_p = _loo_esym(Pc, j)
-        loo_q = _loo_esym(Qc, j)
-        out[lo:hi] = jf * ((Qc * loo_p).sum(axis=1) + (Pc * loo_q).sum(axis=1))
+        n = hi - lo
+        V = np.concatenate((P[lo:hi], Q[lo:hi])).T.copy()   # (b, 2n), one row per coordinate
+        W = np.concatenate((V[:, n:], V[:, :n]), axis=1)
+        A = np.zeros((j + 1, 2 * n))
+        A[0] = 1.0
+        B = np.zeros((j + 1, 2 * n))
+        for i, b_to, b_from, b_rows, a_to, a_from in _row_bands(b, j):
+            v = V[i]
+            # right-hand sides are evaluated before the in-place add, so
+            # every update reads the coefficients of the previous coordinate
+            B[b_to] += v * B[b_from]
+            B[b_rows] += W[i] * A[b_rows]
+            A[a_to] += v * A[a_from]
+        out[lo:hi] = jf * (B[j, :n] + B[j, n:])
     return out

@@ -40,7 +40,7 @@ def check_oracle_equivalence(b: int, j: int, count: int, seed: int) -> CheckResu
         worst = max(worst, abs(fast[i] - ref))
     return CheckResult(
         name=f"oracle-equivalence b={b} j={j} n={count}",
-        passed=worst <= ORACLE_TOL,
+        passed=bool(worst <= ORACLE_TOL),
         detail=f"max |fast - naive| = {worst:.3e}",
     )
 
@@ -62,7 +62,7 @@ def check_combiner_maximality(mi: CellMaxima, count: int, seed: int) -> CheckRes
     worst = float(vals.max() - top)
     return CheckResult(
         name=f"combiner-maximality b={mi.b} n={count}",
-        passed=worst <= 1e-12,
+        passed=bool(worst <= 1e-12),
         detail=f"max sampled - combined = {worst:.3e}",
     )
 

@@ -6,7 +6,9 @@ oracle expands the generating polynomial by convolution, the decimal oracles
 re-evaluate the closed forms and the combiner at 50 digits, the cell
 predicates test one vector at a time where the sampler masks whole batches,
 and the hash-code checker compares symbol bitmasks where the engine compares
-symbol sets.
+symbol sets.  The one exception is ``sep_by_full_generating_pass``, which
+repeats ``sep_batch``'s arithmetic on purpose, without its row restriction,
+so that a test can require the two to agree bit for bit.
 """
 
 import itertools
@@ -49,6 +51,23 @@ def esym_excluding_poly(values, j: int, excluded: int) -> float:
             continue
         coeffs = np.convolve(coeffs, np.array([1.0, float(v)]))
     return float(coeffs[j]) if j < len(coeffs) else 0.0
+
+
+def sep_by_full_generating_pass(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
+    """``sep_batch``'s generating-polynomial pass with every coefficient row
+    updated at every coordinate and no chunking: the reference for its row
+    restriction, which must not change a single bit."""
+    n, b = P.shape
+    V = np.concatenate((P, Q)).T.copy()
+    W = np.concatenate((V[:, n:], V[:, :n]), axis=1)
+    A = np.zeros((j + 1, 2 * n))
+    A[0] = 1.0
+    B = np.zeros((j + 1, 2 * n))
+    for i in range(b):
+        B[1:] += V[i] * B[:-1]
+        B += W[i] * A
+        A[1:] += V[i] * A[:-1]
+    return float(math.factorial(j)) * (B[j, :n] + B[j, n:])
 
 
 def sep_by_convolution(p, q, j: int) -> float:

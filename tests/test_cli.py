@@ -143,6 +143,15 @@ def test_verify_deterministic_and_green(capsys):
     assert "FAIL" not in out1
 
 
+def test_verify_json_reports_plain_bools(capsys):
+    code, out, _ = run(capsys, "verify", "--seed", "42", "--samples", "800",
+                       "--grid", "120", "--format", "json")
+    assert code == EXIT_OK
+    checks = json.loads(out)["checks"]
+    assert checks
+    assert all(type(c["passed"]) is bool and c["passed"] for c in checks)
+
+
 def test_sweep_eps_six_six(capsys):
     # no threshold choice improves on the published bulk value at (6,6)
     code, out, _ = run(

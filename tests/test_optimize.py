@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
 
-from hashbound.configs import CellPair, PartitionKind, PartitionSpec, enumerate_candidates
+from hashbound import optimize
+from hashbound.configs import (
+    Block,
+    CellPair,
+    Configuration,
+    FreeVar,
+    PartitionKind,
+    PartitionSpec,
+    enumerate_candidates,
+)
 from hashbound.optimize import (
+    _FEAS_PAD,
     Budget,
     BudgetExceeded,
+    _cell_bounds_batch,
+    _root_bound,
     compute_all_cell_maxima,
     compute_cell_max,
     global_form_max,
@@ -97,6 +109,55 @@ def test_certify_node_cap_is_reported(monkeypatch):
     monkeypatch.setattr(combiner, "compute_all_cell_maxima", with_certified_tags)
     rep = combiner.full_bound(5, 5, pre.j, pre.spec())
     assert [f for f in rep.flags if f.endswith(":certify-node-cap")] == ["m3:certify-node-cap"]
+
+
+@pytest.mark.parametrize("kind, eps, b, j, which", [
+    (PartitionKind.MAX_VALUE, 9 / 100, 7, 5, CellPair.BULK_BULK),
+    (PartitionKind.MAX_VALUE, 9 / 100, 7, 5, CellPair.TAGGED_SAME),
+    (PartitionKind.MIN_VALUE, 0.05, 6, 4, CellPair.BULK_BULK),
+    (PartitionKind.MIN_VALUE, 0.05, 6, 4, CellPair.BULK_TAGGED),
+])
+def test_root_bound_pruning_matches_brute_force(monkeypatch, kind, eps, b, j, which):
+    spec = PartitionSpec(kind, eps)
+    cfgs = enumerate_candidates(spec, which, b, j)
+    best = best_tag = None
+    for cfg in cfgs:
+        res = maximize_config(cfg, grid=100)
+        if res is None:
+            continue
+        tag = cfg.describe()
+        if best is None or res.value > best or (res.value == best and tag < best_tag):
+            best, best_tag = res.value, tag
+
+    maximized = []
+
+    def counted(cfg, **kwargs):
+        maximized.append(cfg.describe())
+        return maximize_config(cfg, **kwargs)
+
+    monkeypatch.setattr(optimize, "maximize_config", counted)
+    res = compute_cell_max(spec, which, b, j, grid=100)
+    assert (res.value, res.config_tag) == (best, best_tag)
+    feasible = {cfg.describe() for cfg in cfgs if np.isfinite(_root_bound(cfg))}
+    assert feasible - set(maximized), "no configuration was skipped"
+
+
+def test_cell_bound_covers_padded_block_values():
+    # assemble admits block values up to hi + pad; the bound must cover them
+    hi = 0.5
+    x = hi + 0.5 * _FEAS_PAD
+    cfg = Configuration(
+        b=3, j=2, kind=PartitionKind.MAX_VALUE, selector=CellPair.BULK_BULK, eps=0.1,
+        family="test/padded", discrete=(),
+        blocks_p=(Block(1, 0.0, ((0, 1.0),), 0.0, hi), Block(2, 0.25, (), 0.25, 0.25)),
+        blocks_q=(Block(3, 1 / 3, (), 1 / 3, 1 / 3),),
+        free=(FreeVar("a", 0.0, x),),
+    )
+    P, Q, feas = cfg.assemble(np.array([[x]]))
+    assert feas[0] and hi < P[0, 0] <= hi + _FEAS_PAD
+    value = sep_batch(P, Q, cfg.j)[0]
+    bound = _cell_bounds_batch(cfg, np.array([[0.0]]), np.array([[x]]))[0]
+    assert bound >= value
 
 
 def test_budget_exceeded():

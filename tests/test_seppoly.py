@@ -9,14 +9,14 @@ from hashbound.seppoly import (
     DimensionMismatch,
     NaiveCapExceeded,
     SepParams,
-    _loo_esym,
+    _BATCH_CHUNK,
     sep_batch,
     sep_naive,
     sep_uniform_exact,
     sep_uniform_fraction,
 )
 
-from helpers import esym_excluding_poly, sep_by_convolution, sep_naive_batch
+from helpers import sep_by_convolution, sep_by_full_generating_pass, sep_naive_batch
 
 
 def _one_row(p, q, j: int) -> float:
@@ -99,26 +99,64 @@ def test_batch_matches_fast_and_batched_oracle():
 
 
 def test_elem_sym_basics():
-    assert _loo_esym(np.array([[0.3, 0.5, 0.2]]), 1)[0, 0] == pytest.approx(0.7, abs=1e-15)
-    assert _loo_esym(np.full((1, 6), 1 / 6), 4)[0, 0] == pytest.approx(5 / 1296, abs=1e-16)
-    assert _loo_esym(np.array([[0.1, 0.2]]), 0)[0, 1] == 1.0
+    # j = 1 on simplex vectors: sum_m q_m (1 - p_m) + p_m (1 - q_m) = 2 - 2 <p, q>
+    assert _one_row([0.3, 0.5, 0.2], [0.2, 0.3, 0.5], 1) == pytest.approx(1.38, abs=1e-15)
+    assert _one_row([1 / 6] * 6, [1 / 6] * 6, 4) == pytest.approx(5 / 27, abs=1e-15)
+    # e_0 = 1, so the order-0 value is the total mass of both vectors
+    assert _one_row([0.1, 0.2], [0.3, 0.4], 0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_elem_sym_against_polynomial_expansion():
-    # every b <= 8 and every order j, with exact zeros mixed into the rows
+    # every b <= 8 and every order 1 <= j <= b-1, with exact zeros mixed into
+    # the rows; q = unit vector e_m isolates j! e_j(p without m) for j >= 2
     rng = np.random.default_rng(3)
     for b in range(2, 9):
-        V = rng.random((6, b))
-        V[rng.random((6, b)) < 0.3] = 0.0
-        V[0] = 0.0
-        V[1, 1:] = 0.0
+        P = rng.random((6, b))
+        Q = rng.random((6, b))
+        P[rng.random((6, b)) < 0.3] = 0.0
+        Q[rng.random((6, b)) < 0.3] = 0.0
+        P[0] = 0.0
+        P[1, 1:] = 0.0
+        Q[2] = 0.0
+        Q[3, :-1] = 0.0
+        P[4, 1:] = 0.0
+        Q[4, :-1] = 0.0
+        P = np.vstack([P, np.tile(P[5], (b, 1))])
+        Q = np.vstack([Q, np.eye(b)])
+        for j in range(1, b):
+            got = sep_batch(P, Q, j)
+            for n in range(P.shape[0]):
+                assert got[n] == pytest.approx(
+                    sep_by_convolution(P[n], Q[n], j), rel=1e-13, abs=1e-15
+                ), (b, j, n)
+
+
+def test_chunk_boundary_matches_short_slices():
+    # rows straddle two full chunks and a partial third one
+    rng = np.random.default_rng(11)
+    N = 2 * _BATCH_CHUNK + 3
+    for b, j in ((7, 5), (5, 2)):
+        P = rng.dirichlet(np.ones(b), size=N)
+        Q = rng.dirichlet(np.ones(b), size=N)
+        P[rng.random((N, b)) < 0.2] = 0.0
+        Q[rng.random((N, b)) < 0.2] = 0.0
+        whole = sep_batch(P, Q, j)
+        sliced = np.concatenate([sep_batch(P[lo:lo + 1000], Q[lo:lo + 1000], j)
+                                 for lo in range(0, N, 1000)])
+        np.testing.assert_allclose(whole, sliced, rtol=1e-15, atol=0.0)
+        assert np.array_equal(sep_batch(Q, P, j), whole)
+        for n in (0, _BATCH_CHUNK - 1, _BATCH_CHUNK, 2 * _BATCH_CHUNK, N - 1):
+            assert whole[n] == pytest.approx(sep_by_convolution(P[n], Q[n], j), rel=1e-13, abs=1e-15)
+
+
+def test_row_bands_leave_result_bit_identical():
+    rng = np.random.default_rng(23)
+    for b in range(2, 16):
+        P = rng.random((40, b))
+        Q = rng.random((40, b))
+        P[rng.random((40, b)) < 0.25] = 0.0
         for j in range(b):
-            loo = _loo_esym(V, j)
-            for n in range(V.shape[0]):
-                for m in range(b):
-                    assert loo[n, m] == pytest.approx(
-                        esym_excluding_poly(V[n], j, m), rel=1e-13, abs=1e-15
-                    ), (b, j, n, m)
+            assert np.array_equal(sep_batch(P, Q, j), sep_by_full_generating_pass(P, Q, j)), (b, j)
 
 
 def test_uniform_closed_form_values():
