@@ -21,14 +21,20 @@ The winner is the same as a scan of every configuration would give: highest
 value, ties broken by the smallest ``Configuration.describe()``.
 
 Certification is optional.  The certified mode of ``compute_cell_max`` runs a
-small branch-and-bound per maximized configuration on the same monotone bound,
-starting from the root bound the scan already computed.  A search that hits
-its node cap still returns a valid but looser bound and says so in
-``CellMaxResult.certify_capped``.
+small branch-and-bound per maximized configuration, starting from the root
+bound the scan already computed.  Each child box is bounded by the same
+monotone corner bound and, where that does not prune it, also by a centred
+(mean-value) form whose gradient ranges come from the leave-one-out partials
+of the generating polynomial; the smaller of the two is kept.  The corner
+bound's overestimate shrinks linearly with the box width, the centred form's
+quadratically, so boxes near a maximum prune after far fewer splits.  A
+search that hits its node cap still returns a valid but looser bound and says
+so in ``CellMaxResult.certify_capped``.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import time
@@ -44,7 +50,7 @@ from .configs import (
     enumerate_candidates,
     global_candidates,
 )
-from .seppoly import sep_batch
+from .seppoly import _sep_partials, sep_batch
 
 _REFINE_STEP = 1e-12
 _ZOOM_POINTS = {1: 17, 2: 7, 3: 5}
@@ -229,6 +235,30 @@ def _root_box(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
     return (np.array([fv.lo for fv in config.free]), np.array([fv.hi for fv in config.free]))
 
 
+def _block_ranges(blocks, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Range of each block value over each box by interval arithmetic, shape (n, blocks)."""
+    n = los.shape[0]
+    vlo = np.empty((n, len(blocks)))
+    vhi = np.empty((n, len(blocks)))
+    for col, blk in enumerate(blocks):
+        lo = np.full(n, blk.const)
+        hi = np.full(n, blk.const)
+        for idx, coef in blk.coeffs:
+            if coef >= 0:
+                lo += coef * los[:, idx]
+                hi += coef * his[:, idx]
+            else:
+                lo += coef * his[:, idx]
+                hi += coef * los[:, idx]
+        vlo[:, col] = lo
+        vhi[:, col] = hi
+    return vlo, vhi
+
+
+def _mults(blocks) -> list[int]:
+    return [blk.mult for blk in blocks]
+
+
 def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) -> np.ndarray:
     """Monotone interval bound per cell, -inf for provably infeasible cells.
 
@@ -243,29 +273,126 @@ def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) 
     feas = np.ones(n, dtype=bool)
     cols = []
     for blocks in (config.blocks_p, config.blocks_q):
-        side = np.empty((n, config.b))
-        col = 0
-        for blk in blocks:
-            vlo = np.full(n, blk.const)
-            vhi = np.full(n, blk.const)
-            for idx, coef in blk.coeffs:
-                if coef >= 0:
-                    vlo += coef * los[:, idx]
-                    vhi += coef * his[:, idx]
-                else:
-                    vlo += coef * his[:, idx]
-                    vhi += coef * los[:, idx]
-            feas &= (vhi >= blk.lo - _FEAS_PAD) & (vlo <= blk.hi + _FEAS_PAD)
-            np.minimum(vhi, blk.hi + _FEAS_PAD, out=vhi)
-            np.maximum(vhi, 0.0, out=vhi)
-            side[:, col : col + blk.mult] = vhi[:, None]
-            col += blk.mult
-        cols.append(side)
+        vlo, vhi = _block_ranges(blocks, los, his)
+        band_lo = np.array([blk.lo for blk in blocks]) - _FEAS_PAD
+        band_hi = np.array([blk.hi for blk in blocks]) + _FEAS_PAD
+        feas &= ((vhi >= band_lo) & (vlo <= band_hi)).all(axis=1)
+        top = np.maximum(np.minimum(vhi, band_hi), 0.0)
+        cols.append(np.repeat(top, _mults(blocks), axis=1))
     out = np.full(n, -np.inf)
     if feas.any():
         idx = np.nonzero(feas)[0]
         out[idx] = sep_batch(cols[0][idx], cols[1][idx], config.j)
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_rule(config: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinate runs on which both the p-block and the q-block stay the same.
+
+    Returns the first coordinate of each run and the matrices Cp, Cq of shape
+    (runs, dim) with the run length times the coefficient of each free
+    variable in the run's p-block and q-block: within a run every coordinate
+    has the same partial derivatives, so df/dx_k = sum over runs of
+    Cp[., k] dS/dp + Cq[., k] dS/dq at the run's first coordinate.
+    """
+    owners = [np.repeat(np.arange(len(blocks)), _mults(blocks))
+              for blocks in (config.blocks_p, config.blocks_q)]
+    starts = [i for i in range(config.b)
+              if i == 0 or any(own[i] != own[i - 1] for own in owners)]
+    lengths = np.diff(starts + [config.b])
+    mats = []
+    for own, blocks in zip(owners, (config.blocks_p, config.blocks_q)):
+        C = np.zeros((len(starts), config.dim))
+        for s, i in enumerate(starts):
+            for idx, coef in blocks[own[i]].coeffs:
+                C[s, idx] += lengths[s] * coef
+        mats.append(C)
+    return np.array(starts), mats[0], mats[1]
+
+
+def _round_rel(b: int) -> float:
+    """A priori relative rounding bound of one centred bound (Higham, ch. 3).
+
+    gamma_n = n u / (1 - n u) with u = 2^-53 and n = 5b + 16: a term of
+    ``sep_batch`` or ``_sep_partials`` is rounded at most three times per
+    coordinate and twice at the end, and the chain rule (one product, at
+    most 2b sums over runs), the spread and the final sums add at most
+    2b + 7 more.  Doubled, because the bound must also dominate the rounded
+    ``sep_batch`` value at any point of the box, whose error is at most
+    gamma_n times the same magnitude sum.
+    """
+    nu = (5 * b + 16) * 2.0 ** -53
+    return 2.0 * nu / (1.0 - nu)
+
+
+def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """Centred-form (mean-value) upper bound of the polynomial on each box.
+
+    f(c) + sum_k r_k max(|G_lo,k|, |G_hi,k|) + margin, where c is the box
+    centre, r_k the distance from c to the farther face along free variable
+    k and [G_lo,k, G_hi,k] encloses df/dx_k on the box.  Every dS/dp_i and
+    dS/dq_i is a polynomial with nonnegative coefficients (``_sep_partials``),
+    so on a box whose block values are all nonnegative its range is its
+    values at the low and the high corner; where some block value can be
+    negative it is [-g(M), g(M)] with M the largest block magnitude, because
+    |g(x)| <= g(|x|).  The chain rule goes through the affine blocks
+    (``_chain_rule``).  All columns, every box by corner by run, go through
+    one pass.
+
+    The bound holds for the unclipped polynomial on the whole box, so it
+    dominates every point ``Configuration.assemble`` admits there.  Its
+    overestimate shrinks quadratically with the box width, where the
+    monotone corner bound's shrinks linearly.
+
+    Rounding: the result is raised by ``_round_rel(b)`` times
+    S(|v(c)|) + sum_k r_k |G|_k, where |G|_k bounds the magnitudes of the
+    chain-rule terms, so it cannot fall below a value ``sep_batch`` computes
+    inside the box.  At a centre with a negative block value f(c) cancels,
+    so S at the magnitudes |v(c)| scales the margin there instead of f(c);
+    such boxes keep their centred bound rather than being skipped.  Block
+    values are formed as ``Configuration.assemble`` forms them; their own
+    rounding is not covered, as in the corner bound.
+    """
+    n = los.shape[0]
+    j = config.j
+    centre = 0.5 * (los + his)
+    radius = np.maximum(his - centre, centre - los)
+    starts, Cp, Cq = _chain_rule(config)
+    nrun = len(starts)
+    at_centre, low, high = [], [], []
+    nonneg = np.ones(n, dtype=bool)
+    for blocks in (config.blocks_p, config.blocks_q):
+        mults = _mults(blocks)
+        vc = np.stack([blk.value(centre) for blk in blocks], axis=1)
+        at_centre.append(np.repeat(vc, mults, axis=1))
+        vlo, vhi = _block_ranges(blocks, los, his)
+        nonneg &= (vlo >= 0.0).all(axis=1)
+        low.append(np.repeat(vlo, mults, axis=1))
+        high.append(np.repeat(np.maximum(np.abs(vlo), vhi), mults, axis=1))
+    # high corners of every box, low corners of the nonnegative ones; each
+    # column repeated once per run, leaving out the run's first coordinate
+    signed = np.nonzero(nonneg)[0]
+    m = n + len(signed)
+    P = np.repeat(np.concatenate((high[0], low[0][signed])), nrun, axis=0)
+    Q = np.repeat(np.concatenate((high[1], low[1][signed])), nrun, axis=0)
+    dp, dq = _sep_partials(P, Q, j, np.tile(starts, m))
+    dp, dq = dp.reshape(m, nrun), dq.reshape(m, nrun)
+    dp_lo, dq_lo = -dp[:n], -dq[:n]
+    dp_lo[signed], dq_lo[signed] = dp[n:], dq[n:]
+    dp_hi, dq_hi = dp[:n, :, None], dq[:n, :, None]
+    dp_lo, dq_lo = dp_lo[:, :, None], dq_lo[:, :, None]
+    g_hi = (np.maximum(dp_lo * Cp, dp_hi * Cp) + np.maximum(dq_lo * Cq, dq_hi * Cq)).sum(axis=1)
+    g_lo = (np.minimum(dp_lo * Cp, dp_hi * Cp) + np.minimum(dq_lo * Cq, dq_hi * Cq)).sum(axis=1)
+    g_abs = dp[:n] @ np.abs(Cp) + dq[:n] @ np.abs(Cq)
+    value = sep_batch(at_centre[0], at_centre[1], j)
+    scale = value.copy()
+    cancels = np.nonzero((at_centre[0] < 0.0).any(axis=1) | (at_centre[1] < 0.0).any(axis=1))[0]
+    if cancels.size:
+        scale[cancels] = sep_batch(np.abs(at_centre[0][cancels]), np.abs(at_centre[1][cancels]), j)
+    spread = (radius * np.maximum(np.abs(g_lo), np.abs(g_hi))).sum(axis=1)
+    margin = _round_rel(config.b) * (scale + (radius * g_abs).sum(axis=1))
+    return value + spread + margin
 
 
 def _root_bound(config: Configuration) -> float:
@@ -288,7 +415,10 @@ def _certified_supremum(
     ``lower`` is the incumbent to certify against (typically the best value
     found across all configurations) and ``root`` the monotone bound of the
     whole box: cells whose bound cannot exceed lower + tol are pruned,
-    widest-axis splits otherwise, and children are bounded in batches.
+    widest-axis splits otherwise, and children are bounded in batches.  A
+    child's bound is the monotone corner bound (``_cell_bounds_batch``) and,
+    for the children that bound does not prune, the smaller of it and the
+    centred form (``_centred_bounds_batch``).
     Returns a valid upper bound on the configuration supremum capped from
     below at ``lower``, and whether the node cap was hit, the only case in
     which the bound may be looser than lower + tol.
@@ -324,9 +454,14 @@ def _certified_supremum(
         child_hi[rows, axes] = mids
         child_lo[rows + len(axes), axes] = mids
         bounds = _cell_bounds_batch(config, child_lo, child_hi)
-        for i, val in enumerate(bounds):
-            if np.isfinite(val) and val > lower + tol:
-                heapq.heappush(heap, (-float(val), counter, child_lo[i], child_hi[i]))
+        open_ = np.nonzero(bounds > lower + tol)[0]
+        if open_.size:
+            centred = _centred_bounds_batch(config, child_lo[open_], child_hi[open_])
+            bounds[open_] = np.minimum(bounds[open_], centred)
+        for i in open_:
+            val = float(bounds[i])
+            if val > lower + tol:
+                heapq.heappush(heap, (-val, counter, child_lo[i], child_hi[i]))
                 counter += 1
     if heap:  # node cap hit: the heap top still bounds every open cell
         return max(lower, -heap[0][0]), True

@@ -24,8 +24,11 @@ section I.2): the [t^j s^1] coefficient of
 is sum_m q[m] e_j(p \\ m), and with p and q swapped it is the other sum.
 ``sep_batch``, the one evaluator the engine uses, multiplies this product out
 one coordinate at a time over stacks of vector pairs, truncated to degree j
-in t and degree 1 in s; ``sep_naive`` enumerates tuples literally and serves
-as the verification battery's independent oracle for small b.
+in t and degree 1 in s; ``_sep_partials`` runs the same recurrence with one
+coordinate's factor left out per row, which yields the partial derivatives
+the certifier's centred-form bound needs; ``sep_naive`` enumerates tuples
+literally and serves as the verification battery's independent oracle for
+small b.
 
 All monomials have nonnegative coefficients, and every coefficient update is
 a sum of products of nonnegative numbers, so evaluation involves no
@@ -171,3 +174,39 @@ def sep_batch(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
             A[a_to] += v * A[a_from]
         out[lo:hi] = jf * (B[j, :n] + B[j, n:])
     return out
+
+
+def _sep_partials(P: np.ndarray, Q: np.ndarray, j: int, drop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dS_j/dp_i and dS_j/dq_i at i = ``drop[r]`` for every row r, in one pass.
+
+    Factoring coordinate i out of the generating polynomial leaves
+    R_i = prod_{l != i} (1 + p_l t + q_l s) and R'_i, the same with p and q
+    swapped, and gives
+
+        dS_j/dp_i = j! * ([t^(j-1) s^1] R_i + [t^j s^0] R'_i)
+        dS_j/dq_i = j! * ([t^j s^0] R_i + [t^(j-1) s^1] R'_i) .
+
+    Zeroing both p_i and q_i in a column drops its factor, so the same
+    stacked recurrence as ``sep_batch`` (V = [P; Q] against W = [Q; P],
+    truncated to t-degree j in the s^0 part and j-1 in the s^1 part) yields every
+    row's two coefficients from one pass over the b coordinates, whatever
+    coordinate each row leaves out.  Both partials are polynomials with
+    nonnegative coefficients in the remaining entries.
+    """
+    n, b = P.shape
+    V = np.concatenate((P, Q)).T.copy()   # (b, 2n), one row per coordinate
+    W = np.concatenate((V[:, n:], V[:, :n]), axis=1)
+    cols = np.arange(2 * n)
+    V[np.concatenate((drop, drop)), cols] = 0.0
+    W[np.concatenate((drop, drop)), cols] = 0.0
+    A = np.zeros((j + 1, 2 * n))
+    A[0] = 1.0
+    B = np.zeros((j, 2 * n))
+    for i in range(b):
+        top_b, top_a = min(i, j - 1), min(i + 1, j)
+        v = V[i]
+        B[1 : top_b + 1] += v * B[:top_b]
+        B[: top_b + 1] += W[i] * A[: top_b + 1]
+        A[1 : top_a + 1] += v * A[:top_a]
+    jf = float(math.factorial(j))
+    return jf * (B[j - 1, :n] + A[j, n:]), jf * (A[j, :n] + B[j - 1, n:])

@@ -3,7 +3,8 @@
 These deliberately share no code with the production evaluators: the batched
 naive evaluator enumerates index tuples literally, the elementary symmetric
 oracle expands the generating polynomial by convolution, the decimal oracles
-re-evaluate the closed forms and the combiner at 50 digits, the cell
+re-evaluate the closed forms and the combiner at 50 digits, the rational
+oracle evaluates the separation polynomial exactly in ``Fraction``, the cell
 predicates test one vector at a time where the sampler masks whole batches,
 and the hash-code checker compares symbol bitmasks where the engine compares
 symbol sets.  The one exception is ``sep_by_full_generating_pass``, which
@@ -14,6 +15,7 @@ so that a test can require the two to agree bit for bit.
 import itertools
 import math
 from decimal import ROUND_CEILING, Decimal, localcontext
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -79,6 +81,26 @@ def sep_by_convolution(p, q, j: int) -> float:
         q[m] * esym_excluding_poly(p, j, m) + p[m] * esym_excluding_poly(q, j, m)
         for m in range(len(p))
     )
+
+
+def _esym_fraction(values, j: int) -> Fraction:
+    """e_j(values) exactly, by the recurrence e_a <- e_a + v e_(a-1)."""
+    e = [Fraction(1)] + [Fraction(0)] * j
+    for v in values:
+        for a in range(j, 0, -1):
+            e[a] += v * e[a - 1]
+    return e[j]
+
+
+def sep_fraction(p, q, j: int) -> Fraction:
+    """S_j(p, q) in exact rational arithmetic; entries are converted exactly."""
+    p = [Fraction(v) for v in p]
+    q = [Fraction(v) for v in q]
+    total = Fraction(0)
+    for m in range(len(p)):
+        total += q[m] * _esym_fraction(p[:m] + p[m + 1:], j)
+        total += p[m] * _esym_fraction(q[:m] + q[m + 1:], j)
+    return math.factorial(j) * total
 
 
 def in_bulk(v: np.ndarray, spec: PartitionSpec) -> bool:

@@ -20,6 +20,15 @@ def test_bound_preset_five_five(capsys):
     assert "partition" in out
 
 
+def test_bound_preset_five_five_certified(capsys):
+    # certification no longer stops at the node cap here, so the certified
+    # bound prints the same ceiling as the uncertified one
+    code, out, _ = run(capsys, "bound", "--b", "5", "--k", "5", "--preset", "paper", "--certify")
+    assert code == EXIT_OK
+    assert "0.16894" in out
+    assert "certify-node-cap" not in out
+
+
 def test_bound_shortcut_seven_six(capsys):
     code, out, _ = run(capsys, "bound", "--b", "7", "--k", "6", "--preset", "paper")
     assert code == EXIT_OK

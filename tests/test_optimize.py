@@ -15,7 +15,9 @@ from hashbound.optimize import (
     _FEAS_PAD,
     Budget,
     BudgetExceeded,
+    _block_ranges,
     _cell_bounds_batch,
+    _centred_bounds_batch,
     _root_bound,
     compute_all_cell_maxima,
     compute_cell_max,
@@ -87,15 +89,15 @@ def test_certified_mode_small_excess():
 
 
 def test_certify_node_cap_is_reported(monkeypatch):
-    # on the (5,5) preset the same-tag search stops at its node cap with a
-    # slack far above the requested tolerance; the cross-tag one finishes
+    # on the (6,6) preset the same-tag search stops at its node cap with a
+    # slack above the requested tolerance; the cross-tag one finishes
     from hashbound import combiner, presets
 
-    pre = presets.PARTITION_PRESETS[(5, 5)]
-    capped = compute_cell_max(pre.spec(), CellPair.TAGGED_SAME, 5, pre.j, certify=True)
+    pre = presets.PARTITION_PRESETS[(6, 6)]
+    capped = compute_cell_max(pre.spec(), CellPair.TAGGED_SAME, 6, pre.j, certify=True)
     assert capped.certify_capped
     assert capped.certified_excess > 1e-5
-    done = compute_cell_max(pre.spec(), CellPair.TAGGED_CROSS, 5, pre.j, certify=True)
+    done = compute_cell_max(pre.spec(), CellPair.TAGGED_CROSS, 6, pre.j, certify=True)
     assert not done.certify_capped
     assert done.certified_excess <= 1e-5
 
@@ -107,8 +109,118 @@ def test_certify_node_cap_is_reported(monkeypatch):
         return cells
 
     monkeypatch.setattr(combiner, "compute_all_cell_maxima", with_certified_tags)
-    rep = combiner.full_bound(5, 5, pre.j, pre.spec())
+    rep = combiner.full_bound(6, 6, pre.j, pre.spec())
     assert [f for f in rep.flags if f.endswith(":certify-node-cap")] == ["m3:certify-node-cap"]
+
+
+def test_five_five_certifies_every_cell_without_cap():
+    from hashbound import presets
+
+    pre = presets.PARTITION_PRESETS[(5, 5)]
+    for which in CellPair:
+        res = compute_cell_max(pre.spec(), which, 5, pre.j, certify=True)
+        assert not res.certify_capped, which
+        assert 0.0 <= res.certified_excess <= 1e-5, which
+
+
+def _sub_boxes(rng, lo0, hi0):
+    """The root box, boxes at its two extreme corners, random sub-boxes,
+    small boxes and a point box inside it."""
+    d = lo0.size
+    boxes = [(lo0, hi0)]
+    for _ in range(2):
+        x = lo0 + (hi0 - lo0) * rng.random(d)
+        boxes += [(lo0, x), (x, hi0)]
+    for _ in range(3):
+        a, c = lo0 + (hi0 - lo0) * rng.random((2, d))
+        boxes.append((np.minimum(a, c), np.maximum(a, c)))
+    for _ in range(2):
+        x = lo0 + (hi0 - lo0) * rng.random(d)
+        h = 10.0 ** rng.uniform(-7, -1, d)
+        boxes.append((np.maximum(x - h, lo0), np.minimum(x + h, hi0)))
+    x = lo0 + (hi0 - lo0) * rng.random(d)
+    boxes.append((x, x.copy()))
+    return boxes
+
+
+def _swinging_configuration(rng):
+    """Random affine blocks in one or two free variables on [0, 1]: constants
+    and coefficients of either sign, so block values cross 0 in many boxes."""
+    b = int(rng.integers(3, 7))
+    d = int(rng.integers(1, 3))
+
+    def side():
+        cuts = np.sort(rng.choice(np.arange(1, b), size=int(rng.integers(0, min(3, b - 1) + 1)),
+                                  replace=False))
+        return tuple(
+            Block(int(m), float(rng.uniform(-0.6, 0.6)),
+                  tuple((k, float(rng.uniform(-1.0, 1.0))) for k in range(d) if rng.random() < 0.7),
+                  -1.0, 1.0)
+            for m in np.diff(np.concatenate(([0], cuts, [b])))
+        )
+
+    return Configuration(
+        b=b, j=int(rng.integers(2, b)), kind=PartitionKind.MAX_VALUE,
+        selector=CellPair.BULK_BULK, eps=0.1, family="test/swing", discrete=(),
+        blocks_p=side(), blocks_q=side(), free=tuple(FreeVar(f"x{k}", 0.0, 1.0) for k in range(d)),
+    )
+
+
+def test_centred_bound_dominates_sampled_points():
+    # the bound holds for the unclipped polynomial on the whole box, block
+    # values below zero included, and is raised above the rounding of
+    # sep_batch: it must dominate every sampled point, both corners and the centre
+    from hashbound import presets
+
+    rng = np.random.default_rng(41)
+    configs = []
+    for b, k in ((5, 5), (6, 6), (7, 7), (9, 8)):
+        pre = presets.PARTITION_PRESETS[(b, k)]
+        for which in CellPair:
+            cfgs = [c for c in enumerate_candidates(pre.spec(), which, b, pre.j) if c.dim]
+            configs += [cfgs[i] for i in rng.choice(len(cfgs), size=min(3, len(cfgs)), replace=False)]
+    # made-up configurations whose blocks swing across 0 on their boxes
+    configs += [_swinging_configuration(rng) for _ in range(40)]
+    crossing = 0
+    for cfg in configs:
+        lo0 = np.array([fv.lo for fv in cfg.free])
+        hi0 = np.array([fv.hi for fv in cfg.free])
+        boxes = _sub_boxes(rng, lo0, hi0)
+        los = np.array([lo for lo, _ in boxes])
+        his = np.array([hi for _, hi in boxes])
+        bounds = _centred_bounds_batch(cfg, los, his)
+        for blocks in (cfg.blocks_p, cfg.blocks_q):
+            vlo, vhi = _block_ranges(blocks, los, his)
+            crossing += int(((vlo < 0.0) & (vhi > 0.0)).any(axis=1).sum())
+        for (lo, hi), bound in zip(boxes, bounds):
+            X = np.clip(lo + (hi - lo) * rng.random((2000, cfg.dim)), lo, hi)
+            X = np.vstack([X, lo, hi, 0.5 * (lo + hi)])
+            P, Q, _feas = cfg.assemble(X)
+            assert bound >= sep_batch(P, Q, cfg.j).max(), (cfg.describe(), lo, hi)
+    assert crossing >= 100
+
+
+def test_centred_bound_overestimate_is_second_order():
+    # around an interior point, shrinking the box tenfold shrinks the centred
+    # bound's excess over the box maximum about a hundredfold, the corner
+    # bound's only about tenfold
+    from hashbound import presets
+
+    pre = presets.PARTITION_PRESETS[(7, 7)]
+    cfg = next(c for c in enumerate_candidates(pre.spec(), CellPair.BULK_BULK, 7, pre.j)
+               if c.dim == 1)
+    x0 = 0.5 * (cfg.free[0].lo + cfg.free[0].hi)
+    excess = {}
+    for h in (1e-2, 1e-3):
+        lo, hi = np.array([[x0 - h]]), np.array([[x0 + h]])
+        P, Q, _feas = cfg.assemble(np.linspace(x0 - h, x0 + h, 2001)[:, None])
+        top = sep_batch(P, Q, cfg.j).max()
+        excess[h] = (_centred_bounds_batch(cfg, lo, hi)[0] - top,
+                     _cell_bounds_batch(cfg, lo, hi)[0] - top)
+    centred_ratio = excess[1e-2][0] / excess[1e-3][0]
+    corner_ratio = excess[1e-2][1] / excess[1e-3][1]
+    assert centred_ratio > 50.0
+    assert corner_ratio < 20.0
 
 
 @pytest.mark.parametrize("kind, eps, b, j, which", [

@@ -10,13 +10,14 @@ from hashbound.seppoly import (
     NaiveCapExceeded,
     SepParams,
     _BATCH_CHUNK,
+    _sep_partials,
     sep_batch,
     sep_naive,
     sep_uniform_exact,
     sep_uniform_fraction,
 )
 
-from helpers import sep_by_convolution, sep_by_full_generating_pass, sep_naive_batch
+from helpers import sep_by_convolution, sep_by_full_generating_pass, sep_fraction, sep_naive_batch
 
 
 def _one_row(p, q, j: int) -> float:
@@ -157,6 +158,28 @@ def test_row_bands_leave_result_bit_identical():
         P[rng.random((40, b)) < 0.25] = 0.0
         for j in range(b):
             assert np.array_equal(sep_batch(P, Q, j), sep_by_full_generating_pass(P, Q, j)), (b, j)
+
+
+def test_sep_partials_match_exact_differences():
+    # S_j is affine in each single coordinate, so dS/dp_i = S(p_i <- 1) - S(p_i <- 0)
+    # exactly; rows mix zeros in and leave out every coordinate in turn
+    rng = np.random.default_rng(31)
+    for b in range(2, 8):
+        P = rng.random((b, b))
+        Q = rng.random((b, b))
+        P[rng.random((b, b)) < 0.25] = 0.0
+        Q[rng.random((b, b)) < 0.25] = 0.0
+        drop = np.arange(b)
+        for j in range(1, b):
+            dp, dq = _sep_partials(P, Q, j, drop)
+            for r, i in enumerate(drop):
+                for got, V, other, swap in ((dp[r], P[r], Q[r], False), (dq[r], Q[r], P[r], True)):
+                    hi, lo = list(V), list(V)
+                    hi[i], lo[i] = 1.0, 0.0
+                    args = ((other, hi), (other, lo)) if swap else ((hi, other), (lo, other))
+                    exact = sep_fraction(*args[0], j) - sep_fraction(*args[1], j)
+                    assert got >= 0.0
+                    assert got == pytest.approx(float(exact), rel=1e-13, abs=1e-15), (b, j, r, swap)
 
 
 def test_uniform_closed_form_values():
