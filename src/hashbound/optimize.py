@@ -12,24 +12,28 @@ be far beyond any stated time budget and buys nothing for these tame
 polynomials).  Golden-value tests pin the outcomes.
 
 The polynomial only grows when any coordinate grows, so evaluating it at the
-coordinate-wise maxima of a box bounds the box rigorously.  ``compute_cell_max``
-and ``global_form_max`` share one loop that first bounds every configuration's
-whole box this way, then maximizes the configurations in descending order of
-that root bound and stops at the first one whose bound lies strictly below the
-incumbent: neither it nor any configuration after it can reach the maximum.
-The winner is the same as a scan of every configuration would give: highest
-value, ties broken by the smallest ``Configuration.describe()``.
+coordinate-wise maxima of a box bounds the box rigorously (the corner bound);
+a centred (mean-value) form, whose gradient ranges come from the
+leave-one-out partials of the generating polynomial, bounds it too, with an
+overestimate that shrinks quadratically with the box width where the corner
+bound's shrinks linearly.  ``compute_cell_max`` and ``global_form_max`` share
+one loop that first bounds every configuration's whole box by splitting it
+into a uniform lattice of parts and taking the largest part bound, each part
+bounded by the smaller of the two forms.  It then maximizes the
+configurations in descending order of that root bound and stops at the first
+one whose bound lies strictly below the incumbent: neither it nor any
+configuration after it can reach the maximum.  The winner is the same as a
+scan of every configuration would give: highest value, ties broken by the
+smallest ``Configuration.describe()``.
 
 Certification is optional.  The certified mode of ``compute_cell_max`` runs a
 small branch-and-bound per maximized configuration, starting from the root
-bound the scan already computed.  Each child box is bounded by the same
-monotone corner bound and, where that does not prune it, also by a centred
-(mean-value) form whose gradient ranges come from the leave-one-out partials
-of the generating polynomial; the smaller of the two is kept.  The corner
-bound's overestimate shrinks linearly with the box width, the centred form's
-quadratically, so boxes near a maximum prune after far fewer splits.  A
-search that hits its node cap still returns a valid but looser bound and says
-so in ``CellMaxResult.certify_capped``.
+bound the scan already computed, with the same two bounds on every child
+box.  A box is not split further once its bound lies within a tolerance,
+relative to the cell maximum, of that maximum; the largest such bound still
+counts, so the certified value never falls below a value the configuration
+attains.  A search that hits its node cap still returns a valid but looser
+bound and says so in ``CellMaxResult.certify_capped``.
 """
 
 from __future__ import annotations
@@ -93,9 +97,12 @@ class CellMaxResult:
     ``exactness`` is "attained" when the published reduction claims the
     supremum is attained on the family list (closure of the cell pair) and
     "upper_bound" when it only dominates it.  ``certified_excess`` is the
-    additive slack of the certified run, 0 when certification is off;
+    additive slack of the certified run: value + certified_excess is a
+    rigorous upper bound on the cell maximum, and the slack is at most
+    ``cert_tol`` times |value| unless a box narrower than 1e-12 or the node
+    cap stopped the search; it is 0 when certification is off.
     ``certify_capped`` is True when the branch-and-bound of some configuration
-    stopped at its node cap, so the slack may exceed the requested tolerance.
+    stopped at its node cap.
     """
 
     selector: CellPair
@@ -229,6 +236,7 @@ def maximize_config(config: Configuration, *, grid: int = 400, budget: Budget = 
 
 
 _FEAS_PAD = 1e-12
+_ROOT_SPLITS = {1: 32, 2: 16, 3: 6}  # parts per axis of the root-bound lattice, by dimension
 
 
 def _root_box(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
@@ -396,9 +404,36 @@ def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarra
 
 
 def _root_bound(config: Configuration) -> float:
-    """Monotone bound on the configuration's whole box, -inf when provably infeasible."""
+    """Upper bound on the configuration's whole box, -inf when provably infeasible.
+
+    The box is split into a uniform lattice of ``_ROOT_SPLITS[dim]`` parts per
+    axis (the last edge is ``hi`` itself, so the parts tile the box exactly).
+    Every part gets the monotone corner bound in one batch, the parts that
+    bound leaves finite also the centred form, and each part keeps the
+    smaller of the two; the largest part bound is returned.  Both bounds
+    dominate every point ``Configuration.assemble`` admits in their part,
+    rounding included, so the result dominates the configuration's maximum.
+    A 0-dimensional configuration gets its point value.
+    """
     lo, hi = _root_box(config)
-    return float(_cell_bounds_batch(config, lo[None, :], hi[None, :])[0])
+    if config.dim == 0:
+        return float(_cell_bounds_batch(config, lo[None, :], hi[None, :])[0])
+    k = _ROOT_SPLITS[config.dim]
+    edges = []
+    for a, z in zip(lo, hi):
+        e = np.linspace(a, z, k + 1)
+        e[-1] = z
+        edges.append(e)
+    low = np.meshgrid(*(e[:-1] for e in edges), indexing="ij")
+    high = np.meshgrid(*(e[1:] for e in edges), indexing="ij")
+    los = np.stack([m.ravel() for m in low], axis=1)
+    his = np.stack([m.ravel() for m in high], axis=1)
+    bounds = _cell_bounds_batch(config, los, his)
+    live = np.nonzero(np.isfinite(bounds))[0]
+    if live.size == 0:
+        return -np.inf
+    bounds[live] = np.minimum(bounds[live], _centred_bounds_batch(config, los[live], his[live]))
+    return float(bounds[live].max())
 
 
 def _certified_supremum(
@@ -413,15 +448,19 @@ def _certified_supremum(
     """Rigorous upper bound on the configuration supremum via branch-and-bound.
 
     ``lower`` is the incumbent to certify against (typically the best value
-    found across all configurations) and ``root`` the monotone bound of the
-    whole box: cells whose bound cannot exceed lower + tol are pruned,
-    widest-axis splits otherwise, and children are bounded in batches.  A
-    child's bound is the monotone corner bound (``_cell_bounds_batch``) and,
-    for the children that bound does not prune, the smaller of it and the
-    centred form (``_centred_bounds_batch``).
-    Returns a valid upper bound on the configuration supremum capped from
-    below at ``lower``, and whether the node cap was hit, the only case in
-    which the bound may be looser than lower + tol.
+    found across all configurations) and ``root`` a bound of the whole box
+    (``_root_bound``), the key of the root box.  Boxes whose bound does not
+    exceed lower + tol are not split further, nor are boxes narrower than
+    1e-12; widest-axis splits otherwise, and children are bounded in
+    batches.  A child's bound is the monotone corner bound
+    (``_cell_bounds_batch``) and, for the children that bound does not
+    prune, the smaller of it and the centred form (``_centred_bounds_batch``).
+
+    Returns the largest of ``lower``, the bound of every box left unsplit and,
+    at the node cap, the bound of every box still open: a valid upper bound on
+    the configuration supremum, at most lower + tol unless the cap was hit or
+    a box too narrow to split had a larger bound.  Also returns whether the
+    node cap was hit.
     """
     if not np.isfinite(root):
         return lower, False
@@ -431,18 +470,22 @@ def _certified_supremum(
     heap = [(-root, 0, lo0, hi0)]
     counter = 1
     processed = 0
+    kept = lower  # largest bound of a box left unsplit
     while heap and processed < max_nodes:
         budget.check("certification")
         group_lo, group_hi = [], []
         while heap and len(group_lo) < 64:
             neg_ub, _, lo, hi = heapq.heappop(heap)
-            ub = -neg_ub
-            if ub <= lower + tol:
-                return max(lower, ub), False  # heap is max-first: everything else is smaller
-            if (hi - lo).max() < _REFINE_STEP:
-                return max(lower, ub), False  # cannot usefully split further
-            group_lo.append(lo)
-            group_hi.append(hi)
+            if -neg_ub <= lower + tol:  # heap is max-first: every box left is within tol
+                kept = max(kept, -neg_ub)
+                heap.clear()
+            elif (hi - lo).max() < _REFINE_STEP:  # cannot usefully split further
+                kept = max(kept, -neg_ub)
+            else:
+                group_lo.append(lo)
+                group_hi.append(hi)
+        if not group_lo:
+            break
         processed += len(group_lo)
         los = np.array(group_lo)
         his = np.array(group_hi)
@@ -463,9 +506,12 @@ def _certified_supremum(
             if val > lower + tol:
                 heapq.heappush(heap, (-val, counter, child_lo[i], child_hi[i]))
                 counter += 1
-    if heap:  # node cap hit: the heap top still bounds every open cell
-        return max(lower, -heap[0][0]), True
-    return lower, False
+        shut = bounds[bounds <= lower + tol]
+        if shut.size:
+            kept = max(kept, float(shut.max()))
+    if heap:  # node cap hit: the heap top still bounds every open box
+        return max(kept, -heap[0][0]), True
+    return kept, False
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +522,18 @@ def _certified_supremum(
 def _best_config(
     configs: list[Configuration], *, grid: int, budget: Budget, what: str
 ) -> tuple[ConfigMax | None, Configuration | None, list[tuple[Configuration, ConfigMax, float]], list[str]]:
-    """Maximize the configurations that their root-box bound does not prove dominated.
+    """Maximize the configurations that their root bound does not prove dominated.
 
-    Configurations are maximized in descending order of their root bound; the
-    scan stops at the first bound strictly below the incumbent, since no
-    configuration from there on can reach it.  Returns the winner (highest
-    value, ties to the smallest ``describe()``) with its configuration, the
-    (configuration, maximum, root bound) of every configuration maximized,
-    and the ``describe()`` of every configuration found to have no feasible
-    point.  Configurations skipped as dominated are not examined further.
+    Every configuration's whole box is bounded by ``_root_bound`` (split into
+    a lattice of parts, each bounded by the smaller of the corner and the
+    centred form).  Configurations are maximized in descending order of
+    that bound; the scan stops at the first bound strictly below the
+    incumbent, since no configuration from there on can reach it.  Returns
+    the winner (highest value, ties to the smallest ``describe()``) with its
+    configuration, the (configuration, maximum, root bound) of every
+    configuration maximized, and the ``describe()`` of every configuration
+    found to have no feasible point.  Configurations skipped as dominated are
+    not examined further.
     """
     roots = [_root_bound(cfg) for cfg in configs]
     best: ConfigMax | None = None
@@ -516,11 +565,13 @@ def compute_cell_max(
     *,
     grid: int = 400,
     certify: bool = False,
-    cert_tol: float = 1e-5,
+    cert_tol: float = 1e-9,
     budget: Budget = NO_BUDGET,
 ) -> CellMaxResult:
     """Maximize over every candidate configuration of one cell-pair selector.
 
+    With ``certify`` each maximized configuration is certified to within
+    ``cert_tol`` times |maximum| of the maximum (``_certified_supremum``).
     ``vacuous_families`` lists the configurations found to have no feasible
     point; configurations skipped as dominated are not among them.
     """
@@ -539,8 +590,9 @@ def compute_cell_max(
         # configurations prune in a handful of splits, and those the scan
         # skipped have a root bound below it already
         certified = best.value
+        tol = cert_tol * abs(best.value)
         for cfg, _res, root in scanned:
-            sup, hit = _certified_supremum(cfg, best.value, root, tol=cert_tol, budget=budget)
+            sup, hit = _certified_supremum(cfg, best.value, root, tol=tol, budget=budget)
             certified = max(certified, sup)
             capped |= hit
         excess = max(0.0, certified - best.value)

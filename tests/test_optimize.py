@@ -10,6 +10,7 @@ from hashbound.configs import (
     PartitionKind,
     PartitionSpec,
     enumerate_candidates,
+    global_candidates,
 )
 from hashbound.optimize import (
     _FEAS_PAD,
@@ -18,7 +19,9 @@ from hashbound.optimize import (
     _block_ranges,
     _cell_bounds_batch,
     _centred_bounds_batch,
+    _certified_supremum,
     _root_bound,
+    _root_box,
     compute_all_cell_maxima,
     compute_cell_max,
     global_form_max,
@@ -228,30 +231,84 @@ def test_centred_bound_overestimate_is_second_order():
     (PartitionKind.MAX_VALUE, 9 / 100, 7, 5, CellPair.TAGGED_SAME),
     (PartitionKind.MIN_VALUE, 0.05, 6, 4, CellPair.BULK_BULK),
     (PartitionKind.MIN_VALUE, 0.05, 6, 4, CellPair.BULK_TAGGED),
+    (PartitionKind.MIN_VALUE, 0.05, 6, 3, CellPair.TAGGED_SAME),
+    (None, None, 6, 4, None),  # global_form_max(6, 4)
 ])
 def test_root_bound_pruning_matches_brute_force(monkeypatch, kind, eps, b, j, which):
-    spec = PartitionSpec(kind, eps)
-    cfgs = enumerate_candidates(spec, which, b, j)
+    if which is None:
+        cfgs = global_candidates(b, j)
+    else:
+        spec = PartitionSpec(kind, eps)
+        cfgs = enumerate_candidates(spec, which, b, j)
     best = best_tag = None
     for cfg in cfgs:
         res = maximize_config(cfg, grid=100)
         if res is None:
             continue
         tag = cfg.describe()
-        if best is None or res.value > best or (res.value == best and tag < best_tag):
-            best, best_tag = res.value, tag
+        if best is None or res.value > best.value or (res.value == best.value and tag < best_tag):
+            best, best_tag = res, tag
 
     maximized = []
 
     def counted(cfg, **kwargs):
-        maximized.append(cfg.describe())
-        return maximize_config(cfg, **kwargs)
+        res = maximize_config(cfg, **kwargs)
+        maximized.append((cfg.describe(), res))
+        return res
 
     monkeypatch.setattr(optimize, "maximize_config", counted)
-    res = compute_cell_max(spec, which, b, j, grid=100)
-    assert (res.value, res.config_tag) == (best, best_tag)
+    if which is None:
+        got = global_form_max(b, j, grid=100)
+        got_tag = next(tag for tag, res in maximized if res is got)
+    else:
+        got = compute_cell_max(spec, which, b, j, grid=100)
+        got_tag = got.config_tag
+    assert (got.value, got_tag, got.p, got.q) == (best.value, best_tag, best.p, best.q)
     feasible = {cfg.describe() for cfg in cfgs if np.isfinite(_root_bound(cfg))}
-    assert feasible - set(maximized), "no configuration was skipped"
+    assert feasible - {tag for tag, _res in maximized}, "no configuration was skipped"
+
+
+def test_split_root_bound_between_maximum_and_corner_bound():
+    # the split bound dominates every configuration's maximum and is never
+    # looser than the corner bound of the whole box
+    from hashbound import presets
+
+    cells = []
+    for b, k in ((5, 5), (6, 6), (7, 7), (9, 8)):
+        pre = presets.PARTITION_PRESETS[(b, k)]
+        cells.append((pre.spec(), b, pre.j))
+    # the two cells of the eps sweep, off their presets
+    cells += [(PartitionSpec(PartitionKind.MIN_VALUE, 0.047), 6, 3),
+              (PartitionSpec(PartitionKind.MAX_VALUE, 0.093), 7, 5)]
+    checked = 0
+    for spec, b, j in cells:
+        for which in CellPair:
+            for cfg in enumerate_candidates(spec, which, b, j):
+                lo, hi = _root_box(cfg)
+                corner = _cell_bounds_batch(cfg, lo[None, :], hi[None, :])[0]
+                split = _root_bound(cfg)
+                assert split <= corner, cfg.describe()
+                res = maximize_config(cfg)
+                if res is not None:
+                    assert res.value <= split, cfg.describe()
+                    checked += 1
+    assert checked >= 400
+
+
+def test_certified_supremum_keeps_slack_of_dropped_boxes():
+    # with the incumbent just below the winning configuration's maximum and
+    # a tolerance above the gap, every box is dropped within tolerance: the
+    # result must still be at least the attained maximum
+    from hashbound import presets
+
+    pre = presets.PARTITION_PRESETS[(5, 5)]
+    for which in CellPair:
+        res = compute_cell_max(pre.spec(), which, 5, pre.j)
+        cfg = next(c for c in enumerate_candidates(pre.spec(), which, 5, pre.j)
+                   if c.describe() == res.config_tag)
+        sup, capped = _certified_supremum(cfg, res.value - 5e-6, _root_bound(cfg), tol=1e-5)
+        assert not capped, which
+        assert res.value <= sup <= res.value + 5e-6, which
 
 
 def test_cell_bound_covers_padded_block_values():
