@@ -382,7 +382,7 @@ def cmd_search_code(b, k, n, size_cap, order, budget_secs, out):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_sample_mi(b, j, partition, eps, which, count, seed, engine, grid, fmt, out):
-    """Rejection-sample one cell pair and compare against the engine value."""
+    """Sample members of one cell pair and compare against the engine value."""
     spec = PartitionSpec(PartitionKind(partition), eps)
     sel = {c.label: c for c in CellPair}[which]
     engine_value = None

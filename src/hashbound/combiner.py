@@ -201,6 +201,18 @@ def _cells_to_dict(cells: dict[CellPair, CellMaxResult]) -> dict:
     return out
 
 
+#: global_form_max values by (b, j, grid): they do not depend on eps, so a
+#: sweep over eps computes each one once
+_GLOBAL_MAX_MEMO: dict[tuple[int, int, int], float] = {}
+
+
+def _global_max_value(b: int, j: int, grid: int, budget: Budget) -> float:
+    key = (b, j, grid)
+    if key not in _GLOBAL_MAX_MEMO:  # a call that runs out of budget stores nothing
+        _GLOBAL_MAX_MEMO[key] = global_form_max(b, j, grid=grid, budget=budget).value
+    return _GLOBAL_MAX_MEMO[key]
+
+
 def full_bound(
     b: int,
     k: int,
@@ -218,7 +230,8 @@ def full_bound(
     unconstrained maximum is known to sit at uniform vectors (the published
     list, re-verified by the test suite) and otherwise maximizes over the
     global configuration families, which is always a valid dominator of the
-    mixture form.
+    mixture form.  That maximum does not depend on eps and is computed once
+    per (b, j, grid) in a process.
     """
     t0 = time.monotonic()
     params = ProblemParams(b, k, j)
@@ -274,7 +287,7 @@ def full_bound(
             )
             reuse = cells[sel].value
         if reuse is None:
-            reuse = global_form_max(b, jg, grid=grid, budget=budget).value
+            reuse = _global_max_value(b, jg, grid, budget)
         global_form = max(reuse, uniform_value)
         global_at_uniform = abs(global_form - uniform_value) <= 1e-9
         if not global_at_uniform:

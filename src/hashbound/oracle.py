@@ -1,15 +1,17 @@
 """Independent checks grounding the engine from below.
 
-* subdomain rejection sampling: lower-bounds each cell-pair maximum with true
-  members of the cell pair, so engine values can be validated from below;
+* subdomain sampling: lower-bounds each cell-pair maximum with true members
+  of the cell pair, so engine values can be validated from below; the cells
+  are drawn by direct constructions, and the exact membership predicates
+  still filter every row;
 * the (b,k)-hash property checker and an exhaustive tiny-length code search,
   grounding the definitions the asymptotic bounds speak about;
 * sampled inequality suites for the four exchange/merge lemmas the
   configuration reductions rest on.
 
-Everything stochastic takes an explicit seed; batch generators are derived by
-seed-sequence spawning, so results are reproducible and independent of batch
-size.
+Everything stochastic takes an explicit seed; the two sides of a sampled pair
+draw from generators spawned from one seed sequence, so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -48,21 +50,32 @@ def _tagged_mask(V: np.ndarray, spec: PartitionSpec, i: int) -> np.ndarray:
     return ok
 
 
+def _with_column(rest: np.ndarray, i: int, col: np.ndarray) -> np.ndarray:
+    """``rest`` with ``col`` inserted as column i."""
+    return np.concatenate((rest[:, :i], col[:, None], rest[:, i:]), axis=1)
+
+
 def _draw_bulk(rng: np.random.Generator, spec: PartitionSpec, b: int, n: int) -> np.ndarray:
     V = rng.dirichlet(np.ones(b), size=n)
+    if spec.kind is PartitionKind.MIN_VALUE:
+        # {v >= eps} is the simplex scaled by 1 - b eps about eps 1
+        V = spec.eps + (1.0 - b * spec.eps) * V
     return V[_bulk_mask(V, spec)]
 
 
 def _draw_tagged(rng: np.random.Generator, spec: PartitionSpec, b: int, i: int, n: int) -> np.ndarray:
     if spec.kind is PartitionKind.MAX_VALUE:
-        # direct construction: plain rejection would be hopeless at small eps
         top = 1.0 - spec.eps + spec.eps * rng.random(n)
         rest = rng.dirichlet(np.ones(b - 1), size=n) * (1.0 - top)[:, None]
-        V = np.empty((n, b))
-        V[:, i] = top
-        V[:, np.arange(b) != i] = rest
+        V = _with_column(rest, i, top)
     else:
-        V = rng.dirichlet(np.ones(b), size=n)
+        # v -> (m = v_i, v - m): the minimum m has density proportional to
+        # (1 - b m)^(b-2) on [0, eps), drawn by inverse CDF; given m, the
+        # rest is m plus the simplex scaled by 1 - b m
+        scale = -np.expm1((b - 1) * math.log1p(-b * spec.eps))
+        m = -np.expm1(np.log1p(-scale * rng.random(n)) / (b - 1)) / b
+        rest = m[:, None] + (1.0 - b * m)[:, None] * rng.dirichlet(np.ones(b - 1), size=n)
+        V = _with_column(rest, i, m)
     return V[_tagged_mask(V, spec, i)]
 
 
@@ -105,11 +118,25 @@ def sample_subdomain(
 ) -> SampleReport:
     """Best polynomial value over ``count`` sampled members of the cell pair.
 
-    Sampling is uniform Dirichlet plus rejection on the exact membership
-    predicates (strict inequalities included); the max-partition tagged cells
-    use a direct construction instead, since their rejection rate is hopeless.
-    A rejection rate of 99.99% or more yields an inconclusive report rather
-    than an error.
+    Each side is drawn by a direct construction, with w a uniform
+    (Dirichlet(1)) simplex vector.  The min cells and the max bulk get the
+    uniform law on the simplex restricted to the cell (uniform spacings;
+    Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. 5):
+
+    * min bulk, all v >= eps: v = eps 1 + (1 - b eps) w;
+    * min tagged i, v_i the minimum below eps: v_i = m, whose density is
+      proportional to (1 - b m)^(b-2) on [0, eps), drawn by inverse CDF, and
+      v_k = m + (1 - b m) w_k for k != i;
+    * max bulk: w itself, rejected when some coordinate exceeds 1 - eps
+      (a share of at most b eps^(b-1)).
+
+    The max tagged cell i takes v_i uniform on [1 - eps, 1) and the rest
+    (1 - v_i) w, which weights v_i = 1 more than the uniform law does.
+    The exact membership predicates (strict inequalities included) stay the
+    final filter, so every evaluated row is a true member; rows one side has
+    to spare wait for the other side.  If, after max(1e5, 10 count) draws
+    per side, fewer than one in 10^4 of them were evaluated, sampling stops
+    and the report is inconclusive rather than an error.
     """
     spec.validate(b, j)
     if count < 1:
@@ -128,25 +155,26 @@ def sample_subdomain(
     best_p = best_q = None
     got = 0
     proposed = 0
-    batch = max(4096, min(count, 1 << 16))
+    P = Q = np.empty((0, b))
     while got < count:
-        n = min(batch, 4 * (count - got) + 4096)
-        P = draw(roles[0], rng_p, n)
-        Q = draw(roles[1], rng_q, n)
-        m = min(len(P), len(Q))
+        # top up both sides to n rows; the surplus of one side waits for
+        # the other instead of being dropped
+        n = min(1 << 16, count - got)
+        if len(P) < n:
+            P = np.concatenate((P, draw(roles[0], rng_p, n - len(P))))
+        if len(Q) < n:
+            Q = np.concatenate((Q, draw(roles[1], rng_q, n - len(Q))))
         proposed += n
-        if m == 0:
-            if proposed > max(100_000, count) and got / max(proposed, 1) < _INCONCLUSIVE_ACCEPT_RATE:
-                break
-            continue
-        m = min(m, count - got)
-        vals = sep_batch(P[:m], Q[:m], j)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best = float(vals[k])
-            best_p, best_q = P[k].copy(), Q[k].copy()
-        got += m
-        if proposed > max(100_000, 10 * count) and got / proposed < _INCONCLUSIVE_ACCEPT_RATE:
+        m = min(len(P), len(Q), n)
+        if m:
+            vals = sep_batch(P[:m], Q[:m], j)
+            k = int(np.argmax(vals))
+            if vals[k] > best:
+                best = float(vals[k])
+                best_p, best_q = P[k].copy(), Q[k].copy()
+            got += m
+            P, Q = P[m:], Q[m:]
+        if proposed > max(100_000, 10 * count) and got < _INCONCLUSIVE_ACCEPT_RATE * proposed:
             break
     inconclusive = got < count
     return SampleReport(

@@ -6,10 +6,12 @@ oracle expands the generating polynomial by convolution, the decimal oracles
 re-evaluate the closed forms and the combiner at 50 digits, the rational
 oracle evaluates the separation polynomial exactly in ``Fraction``, the cell
 predicates test one vector at a time where the sampler masks whole batches,
-and the hash-code checker compares symbol bitmasks where the engine compares
-symbol sets.  The one exception is ``sep_by_full_generating_pass``, which
-repeats ``sep_batch``'s arithmetic on purpose, without its row restriction,
-so that a test can require the two to agree bit for bit.
+the rejection reference keeps uniform simplex draws where the sampler
+constructs cell members directly, and the hash-code checker compares symbol
+bitmasks where the engine compares symbol sets.  The one exception is
+``sep_by_full_generating_pass``, which repeats ``sep_batch``'s arithmetic on
+purpose, without its row restriction, so that a test can require the two to
+agree bit for bit.
 """
 
 import itertools
@@ -122,6 +124,48 @@ def in_tagged(v: np.ndarray, spec: PartitionSpec, i: int) -> bool:
     if not np.all(v >= v[i]):
         return False
     return bool(np.all(v[:i] > v[i]))
+
+
+def rejection_sample(
+    rng: np.random.Generator, spec: PartitionSpec, b: int, tag: int | None, n: int
+) -> np.ndarray:
+    """n members of one cell, uniform on the simplex and kept by plain rejection.
+
+    ``tag`` is None for the bulk cell, else the tagged coordinate.  Membership
+    is decided per row by min, max and argmin, not by the sampler's masks:
+    ``argmin`` returns the first minimal coordinate, which is exactly the
+    min-partition rule (a minimum, strictly below every earlier coordinate).
+    """
+    eps = spec.eps
+    kept, have = [], 0
+    while have < n:
+        V = rng.dirichlet(np.ones(b), size=4 * n)
+        if spec.kind is PartitionKind.MAX_VALUE:
+            keep = V.max(axis=1) <= 1.0 - eps if tag is None else V[:, tag] > 1.0 - eps
+        elif tag is None:
+            keep = V.min(axis=1) >= eps
+        else:
+            keep = (V[:, tag] < eps) & (V.argmin(axis=1) == tag)
+        kept.append(V[keep])
+        have += int(keep.sum())
+    return np.concatenate(kept)[:n]
+
+
+def ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    two empirical distribution functions."""
+    x, y = np.sort(x), np.sort(y)
+    at = np.concatenate((x, y))
+    fx = np.searchsorted(x, at, side="right") / len(x)
+    fy = np.searchsorted(y, at, side="right") / len(y)
+    return float(np.abs(fx - fy).max())
+
+
+def ks_critical(n: int, m: int | None = None, alpha: float = 1e-3) -> float:
+    """Asymptotic critical value at level alpha of the two-sample statistic
+    for samples of n and m, or of the one-sample statistic when m is None."""
+    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
+    return c * math.sqrt(1.0 / n + (1.0 / m if m else 0.0))
 
 
 def is_bk_hash_bitset(code, k: int) -> tuple[bool, tuple[int, ...] | None]:

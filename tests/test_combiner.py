@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hashbound import combiner
 from hashbound.combiner import (
     BoundReport,
     CellMaxima,
@@ -10,6 +11,8 @@ from hashbound.combiner import (
     combine,
     full_bound,
 )
+from hashbound.configs import PartitionKind, PartitionSpec
+from hashbound.optimize import Budget, BudgetExceeded, global_form_max
 MI_77 = CellMaxima(0.085679, 0.092593, 0.000006, 0.000107, 7)
 MI_66 = CellMaxima(0.185185, 0.178857, 0.140664, 0.192000, 6)
 MI_55 = CellMaxima(0.384033, 0.389226, 0.374759, 0.389226, 5)
@@ -130,3 +133,27 @@ def test_report_json_roundtrip(partition_report):
 def test_full_bound_rejects_small_k():
     with pytest.raises(ValueError):
         full_bound(5, 3)
+
+
+def test_global_max_is_computed_once_across_eps(monkeypatch):
+    monkeypatch.setattr(combiner, "_GLOBAL_MAX_MEMO", {})
+    calls = []
+
+    def counted(b, j, **kwargs):
+        calls.append((b, j, kwargs["grid"]))
+        return global_form_max(b, j, **kwargs)
+
+    monkeypatch.setattr(combiner, "global_form_max", counted)
+    # a budget that has already run out raises, and leaves nothing behind
+    with pytest.raises(BudgetExceeded):
+        full_bound(5, 5, grid=100, budget=Budget(0.0))
+    assert combiner._GLOBAL_MAX_MEMO == {}
+    reps = [
+        full_bound(5, 5, 2, PartitionSpec(PartitionKind.MAX_VALUE, eps), grid=100)
+        for eps in (0.2, 0.25)
+    ]
+    assert calls == [(5, 3, 100)] * 2
+    fresh = max(global_form_max(5, 3, grid=100).value, reps[0].uniform_form_value)
+    assert reps[0].global_form_bound == reps[1].global_form_bound == fresh
+    full_bound(5, 5, 2, PartitionSpec(PartitionKind.MAX_VALUE, 0.2), grid=120)
+    assert calls[-1] == (5, 3, 120)

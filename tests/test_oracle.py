@@ -1,8 +1,11 @@
 import itertools
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from hashbound import oracle
 from hashbound.configs import CellPair, PartitionKind, PartitionSpec
 from hashbound.optimize import compute_cell_max
 from hashbound.oracle import (
@@ -14,7 +17,14 @@ from hashbound.oracle import (
 )
 from hashbound.seppoly import sep_batch
 
-from helpers import in_bulk, in_tagged, is_bk_hash_bitset
+from helpers import (
+    in_bulk,
+    in_tagged,
+    is_bk_hash_bitset,
+    ks_critical,
+    ks_statistic,
+    rejection_sample,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +80,93 @@ def test_sampling_deterministic():
     assert a == b
 
 
-def test_hopeless_rejection_is_inconclusive_not_fatal():
-    # a min-partition tagged cell at a vanishing threshold accepts ~nothing
+def test_min_tagged_vanishing_eps_samples_in_full():
+    # the direct construction reaches a min-partition tagged cell at any
+    # threshold; plain rejection would accept ~nothing here
     spec = PartitionSpec(PartitionKind.MIN_VALUE, 1e-9)
     rep = sample_subdomain(spec, CellPair.TAGGED_SAME, 6, 4, 1000, seed=5)
+    assert not rep.inconclusive
+    assert rep.evaluated == rep.requested
+    assert in_tagged(np.array(rep.best_p), spec, 0)
+    assert in_tagged(np.array(rep.best_q), spec, 0)
+
+
+def test_rejecting_mask_is_inconclusive_not_fatal(monkeypatch):
+    monkeypatch.setattr(oracle, "_tagged_mask", lambda V, spec, i: np.zeros(len(V), dtype=bool))
+    spec = PartitionSpec(PartitionKind.MIN_VALUE, 0.05)
+    rep = sample_subdomain(spec, CellPair.BULK_TAGGED, 6, 4, 1000, seed=5)
     assert rep.inconclusive
     assert rep.evaluated < rep.requested
+    assert np.isnan(rep.best_value) and rep.best_p == rep.best_q == ()
+
+
+@pytest.mark.parametrize("kind", list(PartitionKind))
+@pytest.mark.parametrize("b", range(3, 9))
+def test_direct_draws_are_members_with_negligible_rejection(kind, b):
+    n = 2000
+    rng = np.random.default_rng(100 + b)
+    for eps in (1e-9, 0.5 / b, 1.0 / b - 1e-6):
+        spec = PartitionSpec(kind, eps)
+        spec.validate(b, b - 1)  # j = b - 1 admits max-partition eps up to 1/b
+        # only the max bulk cell rejects: some coordinate above 1 - eps
+        max_bulk_share = b * eps ** (b - 1) if kind is PartitionKind.MAX_VALUE else 0.0
+        for tag in (None, 0, 1):
+            if tag is None:
+                V = oracle._draw_bulk(rng, spec, b, n)
+                members = [in_bulk(v, spec) for v in V]
+                share = max_bulk_share
+            else:
+                V = oracle._draw_tagged(rng, spec, b, tag, n)
+                members = [in_tagged(v, spec, tag) for v in V]
+                share = 0.0
+            assert V.shape[1] == b and all(members), (eps, tag)
+            assert np.allclose(V.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+            allowed = share + 5.0 * math.sqrt(share * (1.0 - share) / n) + 1e-3
+            assert 1.0 - len(V) / n <= allowed, (eps, tag, len(V))
+
+
+_LAW_ROWS = 50_000
+
+
+@pytest.mark.parametrize("b, j, eps", [(6, 3, 0.05), (3, 2, 0.2)])
+def test_min_partition_draws_match_rejection_law(b, j, eps):
+    spec = PartitionSpec(PartitionKind.MIN_VALUE, eps)
+    rng = np.random.default_rng(1000 * b + j)
+    direct, reference = {}, {}
+    for tag in (None, 0, 1):
+        if tag is None:
+            direct[tag] = oracle._draw_bulk(rng, spec, b, _LAW_ROWS)
+        else:
+            direct[tag] = oracle._draw_tagged(rng, spec, b, tag, _LAW_ROWS)
+        reference[tag] = rejection_sample(rng, spec, b, tag, _LAW_ROWS)
+        assert len(direct[tag]) == _LAW_ROWS
+    crit = ks_critical(_LAW_ROWS, _LAW_ROWS)
+    for tag in direct:
+        for c in range(b):
+            d = ks_statistic(direct[tag][:, c], reference[tag][:, c])
+            assert d < crit, (tag, c, d, crit)
+    # Q rows reversed, so a cell paired with itself is not paired row for row
+    for P, Q in ((None, None), (None, 0), (0, 0), (0, 1)):
+        d = ks_statistic(sep_batch(direct[P], direct[Q][::-1], j),
+                         sep_batch(reference[P], reference[Q][::-1], j))
+        assert d < crit, (P, Q, d, crit)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-18])
+def test_min_tagged_minimum_law_at_vanishing_eps(eps):
+    # P(v_i <= x | cell) = (1 - (1 - b x)^(b-1)) / (1 - (1 - b eps)^(b-1)),
+    # evaluated in 50-digit decimal: a vanishing eps keeps its relative precision
+    b, n = 6, 5000
+    spec = PartitionSpec(PartitionKind.MIN_VALUE, eps)
+    m = np.sort(oracle._draw_tagged(np.random.default_rng(9), spec, b, 1, n)[:, 1])
+    assert len(m) == n and m[-1] < eps
+    with localcontext() as ctx:
+        ctx.prec = 50
+        top = 1 - (1 - b * Decimal(eps)) ** (b - 1)
+        cdf = np.array([float((1 - (1 - b * Decimal(float(x))) ** (b - 1)) / top) for x in m])
+    rank = np.arange(1, n + 1) / n
+    d = max(np.abs(rank - cdf).max(), np.abs(rank - 1.0 / n - cdf).max())
+    assert d < ks_critical(n), d
 
 
 def test_min_bulk_sampling_approaches_uniform_value():
