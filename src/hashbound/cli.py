@@ -152,18 +152,17 @@ def cli():
 @click.option("--eps", default="paper", help="threshold, a real number or 'paper'")
 @click.option("--preset", type=click.Choice(["paper"]), default=None,
               help="alias for --eps paper")
-@click.option("--grid", type=int, default=400)
 @click.option("--certify", is_flag=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--budget-secs", type=int, default=None)
-def cmd_bound(b, k, j, partition, eps, preset, grid, certify, fmt, out, budget_secs):
+def cmd_bound(b, k, j, partition, eps, preset, certify, fmt, out, budget_secs):
     """Compute the best valid bound for one (b,k)."""
     eps_value = None if preset == "paper" else _parse_eps(eps)
     budget = _budget(budget_secs)
     best: BoundReport | None = None
     for jj, spec in _resolve_runs(b, k, j, partition, eps_value):
-        rep = full_bound(b, k, jj, spec, grid=grid, certify=certify, budget=budget)
+        rep = full_bound(b, k, jj, spec, certify=certify, budget=budget)
         if best is None or rep.bound < best.bound:
             best = rep
     if fmt == "text":
@@ -178,12 +177,12 @@ def cmd_bound(b, k, j, partition, eps, preset, grid, certify, fmt, out, budget_s
         _emit(render_csv(headers, rows), out)
 
 
-def _table1_row(row: presets.Table1Row, grid: int, budget: Budget) -> list:
+def _table1_row(row: presets.Table1Row, budget: Budget) -> list:
     if row.shortcut:
-        rep = full_bound(row.b, row.k, budget=budget, grid=grid)
+        rep = full_bound(row.b, row.k, budget=budget)
     else:
         pre = presets.PARTITION_PRESETS[(row.b, row.k)]
-        rep = full_bound(row.b, row.k, pre.j, pre.spec(), grid=grid, budget=budget)
+        rep = full_bound(row.b, row.k, pre.j, pre.spec(), budget=budget)
     km = rep.classical["korner_marton"]
     return [row.b, row.k, round_up_str(rep.bound, 5), repr(rep.bound), rep.path,
             round_up_str(km, 5), repr(km), row.arikan, row.gr]
@@ -192,18 +191,17 @@ def _table1_row(row: presets.Table1Row, grid: int, budget: Budget) -> list:
 @cli.command("table")
 @click.option("--preset", "which", required=True, type=click.Choice(
     ["table1", "table2-computed-columns", "table3-computed-columns", "msvalues", "mi-tables"]))
-@click.option("--grid", type=int, default=400)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--budget-secs", type=int, default=None)
-def cmd_table(which, grid, fmt, out, budget_secs):
+def cmd_table(which, fmt, out, budget_secs):
     """Reproduce a published table's computed columns (literature columns are
     static reference data and tagged as such)."""
     budget = _budget(budget_secs)
     if which == "table1":
         headers = ["b", "k", "ours", "ours_raw", "path", "km", "km_raw",
                    "arikan_lit", "gr_lit"]
-        data = [_table1_row(row, grid, budget) for row in presets.TABLE1]
+        data = [_table1_row(row, budget) for row in presets.TABLE1]
     elif which == "table2-computed-columns":
         headers = ["b", "k", "dvj", "dvj_raw", "costa_dalai_lit", "arikan_lit",
                    "gr_lit", "km_extended_lit"]
@@ -223,7 +221,7 @@ def cmd_table(which, grid, fmt, out, budget_secs):
         headers = ["b", "k", "partition", "eps", "combined_form_raw", "published_ref"]
         data = []
         for (b, k), pre in sorted(presets.PARTITION_PRESETS.items()):
-            rep = full_bound(b, k, pre.j, pre.spec(), grid=grid, budget=budget)
+            rep = full_bound(b, k, pre.j, pre.spec(), budget=budget)
             data.append([b, k, pre.kind.value, pre.eps_label,
                          repr(rep.combined_form_bound), repr(presets.COMBINED_M[(b, k)])])
     else:  # mi-tables
@@ -231,7 +229,7 @@ def cmd_table(which, grid, fmt, out, budget_secs):
         data = []
         for (b, k), pre in sorted(presets.PARTITION_PRESETS.items()):
             vals = [
-                compute_cell_max(pre.spec(), wh, b, pre.j, grid=grid, budget=budget).value
+                compute_cell_max(pre.spec(), wh, b, pre.j, budget=budget).value
                 for wh in CellPair
             ]
             data.append([b, k, pre.kind.value, pre.eps_label] + [repr(v) for v in vals])
@@ -249,12 +247,11 @@ def cmd_table(which, grid, fmt, out, budget_secs):
 @cli.command("verify")
 @click.option("--seed", type=int, default=42)
 @click.option("--samples", type=int, default=10000)
-@click.option("--grid", type=int, default=200)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cmd_verify(seed, samples, grid, fmt, out):
+def cmd_verify(seed, samples, fmt, out):
     """Run the cross-validation battery; nonzero exit on any violation."""
-    checks = run_verification(seed=seed, lemma_count=samples, grid=grid)
+    checks = run_verification(seed=seed, lemma_count=samples)
     if fmt == "json":
         payload = {"schema": 1, "checks": [
             {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks]}
@@ -274,11 +271,10 @@ def cmd_verify(seed, samples, grid, fmt, out):
 @click.option("--eps-min", type=float, required=True)
 @click.option("--eps-max", type=float, required=True)
 @click.option("--steps", type=int, default=10)
-@click.option("--grid", type=int, default=400)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]), default="text")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--budget-secs", type=int, default=None)
-def cmd_sweep_eps(b, k, j, partition, eps_min, eps_max, steps, grid, fmt, out, budget_secs):
+def cmd_sweep_eps(b, k, j, partition, eps_min, eps_max, steps, fmt, out, budget_secs):
     """Scan the threshold over a grid and report the best resulting bound."""
     if steps < 1 or eps_max < eps_min:
         raise click.UsageError("empty sweep range")
@@ -293,13 +289,13 @@ def cmd_sweep_eps(b, k, j, partition, eps_min, eps_max, steps, grid, fmt, out, b
     grid_eps = [eps_min + (eps_max - eps_min) * t / max(steps - 1, 1) for t in range(steps)]
     rows = []
     for e in grid_eps:
-        rep = full_bound(b, k, jj, PartitionSpec(kind, e), grid=grid, budget=budget)
+        rep = full_bound(b, k, jj, PartitionSpec(kind, e), budget=budget)
         rows.append((e, rep.bound, rep.path))
     best_eps, best_bound, _ = min(rows, key=lambda r: r[1])
     pre = presets.PARTITION_PRESETS.get((b, k))
     beats = None
     if pre is not None and pre.kind is kind:
-        pre_rep = full_bound(b, k, pre.j, pre.spec(), grid=grid, budget=budget)
+        pre_rep = full_bound(b, k, pre.j, pre.spec(), budget=budget)
         beats = best_bound < pre_rep.bound - 1e-9
     headers = ["eps", "bound", "bound_raw", "path"]
     data = [[f"{e:.9f}", round_up_str(v, 5), repr(v), path] for e, v, path in rows]
@@ -378,16 +374,15 @@ def cmd_search_code(b, k, n, size_cap, order, budget_secs, out):
 @click.option("--seed", type=int, default=42)
 @click.option("--engine/--no-engine", default=True,
               help="compute the engine value and check dominance")
-@click.option("--grid", type=int, default=400)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cmd_sample_mi(b, j, partition, eps, which, count, seed, engine, grid, fmt, out):
+def cmd_sample_mi(b, j, partition, eps, which, count, seed, engine, fmt, out):
     """Sample members of one cell pair and compare against the engine value."""
     spec = PartitionSpec(PartitionKind(partition), eps)
     sel = {c.label: c for c in CellPair}[which]
     engine_value = None
     if engine:
-        engine_value = compute_cell_max(spec, sel, b, j, grid=grid).value
+        engine_value = compute_cell_max(spec, sel, b, j).value
     rep = sample_subdomain(spec, sel, b, j, count, seed, engine_value=engine_value)
     payload = {
         "schema": 1,

@@ -201,15 +201,15 @@ def _cells_to_dict(cells: dict[CellPair, CellMaxResult]) -> dict:
     return out
 
 
-#: global_form_max values by (b, j, grid): they do not depend on eps, so a
-#: sweep over eps computes each one once
-_GLOBAL_MAX_MEMO: dict[tuple[int, int, int], float] = {}
+#: global_form_max values by (b, j): they do not depend on eps, so a sweep
+#: over eps computes each one once
+_GLOBAL_MAX_MEMO: dict[tuple[int, int], float] = {}
 
 
-def _global_max_value(b: int, j: int, grid: int, budget: Budget) -> float:
-    key = (b, j, grid)
+def _global_max_value(b: int, j: int, budget: Budget) -> float:
+    key = (b, j)
     if key not in _GLOBAL_MAX_MEMO:  # a call that runs out of budget stores nothing
-        _GLOBAL_MAX_MEMO[key] = global_form_max(b, j, grid=grid, budget=budget).value
+        _GLOBAL_MAX_MEMO[key] = global_form_max(b, j, budget=budget).value
     return _GLOBAL_MAX_MEMO[key]
 
 
@@ -219,7 +219,6 @@ def full_bound(
     j: int | None = None,
     spec: PartitionSpec | None = None,
     *,
-    grid: int = 400,
     certify: bool = False,
     budget: Budget = NO_BUDGET,
 ) -> BoundReport:
@@ -231,7 +230,7 @@ def full_bound(
     list, re-verified by the test suite) and otherwise maximizes over the
     global configuration families, which is always a valid dominator of the
     mixture form.  That maximum does not depend on eps and is computed once
-    per (b, j, grid) in a process.
+    per (b, j) in a process.
     """
     t0 = time.monotonic()
     params = ProblemParams(b, k, j)
@@ -249,9 +248,7 @@ def full_bound(
     if spec is not None:
         pj = j if j is not None else k - 2
         spec.validate(b, pj)
-        cells = compute_all_cell_maxima(
-            spec, b, pj, grid=grid, certify=certify, budget=budget
-        )
+        cells = compute_all_cell_maxima(spec, b, pj, certify=certify, budget=budget)
         vals = {
             which: res.value + res.certified_excess for which, res in cells.items()
         }
@@ -287,7 +284,7 @@ def full_bound(
             )
             reuse = cells[sel].value
         if reuse is None:
-            reuse = _global_max_value(b, jg, grid, budget)
+            reuse = _global_max_value(b, jg, budget)
         global_form = max(reuse, uniform_value)
         global_at_uniform = abs(global_form - uniform_value) <= 1e-9
         if not global_at_uniform:

@@ -2,38 +2,34 @@
 
 Each configuration depends on at most three free variables, and the objective
 is a degree-(j+1) polynomial with nonnegative coefficients in the assembled
-coordinates, so a dense masked grid scan localizes every basin and a
-deterministic shrinking local search polishes the winners down to step 1e-12.
+coordinates.  The polynomial only grows when any coordinate grows, so
+evaluating it at the coordinate-wise maxima of a box bounds the box
+rigorously (the corner bound); a centred (mean-value) form, whose gradient
+ranges come from the leave-one-out partials of the generating polynomial,
+bounds it too, with an overestimate that shrinks quadratically with the box
+width where the corner bound's shrinks linearly.
 
-The grid budget is dimension-adaptive: the nominal ``grid`` parameter is the
-1-D point count, two- and three-variable boxes get a per-axis count chosen so
-the total scan stays near 45*grid points (the cube of the nominal count would
-be far beyond any stated time budget and buys nothing for these tame
-polynomials).  Golden-value tests pin the outcomes.
-
-The polynomial only grows when any coordinate grows, so evaluating it at the
-coordinate-wise maxima of a box bounds the box rigorously (the corner bound);
-a centred (mean-value) form, whose gradient ranges come from the
-leave-one-out partials of the generating polynomial, bounds it too, with an
-overestimate that shrinks quadratically with the box width where the corner
-bound's shrinks linearly.  ``compute_cell_max`` and ``global_form_max`` share
-one loop that first bounds every configuration's whole box by splitting it
-into a uniform lattice of parts and taking the largest part bound, each part
-bounded by the smaller of the two forms.  It then maximizes the
-configurations in descending order of that root bound and stops at the first
-one whose bound lies strictly below the incumbent: neither it nor any
+Every configuration's box is cut once, into a uniform lattice of parts
+(``_lattice``), and that lattice does three jobs.  Each part is bounded by
+the smaller of the two forms, and the largest part bound (the root bound)
+orders the configurations: ``compute_cell_max`` and ``global_form_max``
+maximize them in descending order of it and stop at the first one whose
+bound lies strictly below the incumbent, since neither it nor any
 configuration after it can reach the maximum.  The winner is the same as a
-scan of every configuration would give: highest value, ties broken by the
-smallest ``Configuration.describe()``.
+search of every configuration would give: highest value, ties broken by the
+smallest ``Configuration.describe()``.  The admitted part centres seed a
+deterministic shrinking local search that polishes the best few of them down
+to step 1e-12.
 
 Certification is optional.  The certified mode of ``compute_cell_max`` runs a
-small branch-and-bound per maximized configuration, starting from the root
-bound the scan already computed, with the same two bounds on every child
-box.  A box is not split further once its bound lies within a tolerance,
-relative to the cell maximum, of that maximum; the largest such bound still
-counts, so the certified value never falls below a value the configuration
-attains.  A search that hits its node cap still returns a valid but looser
-bound and says so in ``CellMaxResult.certify_capped``.
+small branch-and-bound per configuration whose root bound is finite, starting
+from the lattice parts, with the same two bounds on every child box.  A box
+is not split further once its bound lies within a tolerance, relative to the
+cell maximum, of that maximum; the largest such bound still counts, so the
+certified value never falls below a value the configuration attains, even
+where the local search found no admitted point to start from.  A search that
+hits its node cap still returns a valid but looser bound and says so in
+``CellMaxResult.certify_capped``.
 """
 
 from __future__ import annotations
@@ -59,6 +55,10 @@ from .seppoly import _sep_partials, sep_batch
 _REFINE_STEP = 1e-12
 _ZOOM_POINTS = {1: 17, 2: 7, 3: 5}
 _SEED_COUNT = 6
+
+#: a configuration's lattice (``_lattice``): the low and the high corners of
+#: its parts, each part's bound, and the value at each admitted part centre
+Lattice = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class BudgetExceeded(RuntimeError):
@@ -117,26 +117,6 @@ class CellMaxResult:
     certify_capped: bool = False
 
 
-def _axis_counts(dim: int, grid: int) -> list[int]:
-    if dim <= 1:
-        return [max(2, grid + 1)] * dim
-    budget = 45.0 * grid * (4.0 if dim == 3 else 1.0)
-    n = int(round(budget ** (1.0 / dim)))
-    return [max(9, n)] * dim
-
-
-def _grid_points(config: Configuration, grid: int) -> np.ndarray:
-    counts = _axis_counts(config.dim, grid)
-    axes = []
-    for fv, n in zip(config.free, counts):
-        if fv.hi - fv.lo < _REFINE_STEP:
-            axes.append(np.array([0.5 * (fv.lo + fv.hi)]))
-        else:
-            axes.append(np.linspace(fv.lo, fv.hi, n))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def _evaluate(config: Configuration, X: np.ndarray) -> np.ndarray:
     """Objective on assignments X, -inf where infeasible."""
     P, Q, feas = config.assemble(X)
@@ -162,72 +142,69 @@ def _pick_seeds(X: np.ndarray, vals: np.ndarray, cell: np.ndarray, count: int) -
     return np.array(seeds) if seeds else np.empty((0, X.shape[1]))
 
 
-def maximize_config(config: Configuration, *, grid: int = 400, budget: Budget = NO_BUDGET) -> ConfigMax | None:
+def maximize_config(
+    config: Configuration, lattice: Lattice | None = None, *, budget: Budget = NO_BUDGET
+) -> ConfigMax | None:
     """Maximum of the polynomial over the configuration's box.
 
-    Dense masked grid scan, then deterministic coordinate-window shrinking
-    around the best few separated grid points until the window drops below
-    1e-12.  Returns None when no feasible point exists (vacuous instance).
+    Deterministic coordinate-window shrinking around the best few separated
+    admitted centres of the configuration's lattice (``_lattice``; built here
+    when not given) until the window drops below 1e-12.  A window point that
+    leaves a block's band is moved back onto it along the block's
+    coefficients, so the search can slide along a band edge that runs
+    obliquely to the axes.  Returns None when no lattice centre is admitted,
+    which a vacuous configuration guarantees.
     """
+    los, his, _bounds, values = _lattice(config) if lattice is None else lattice
+    if not np.isfinite(values).any():
+        return None
     d = config.dim
     if d == 0:
-        p, q, feas = config.point(np.empty(0))
-        if not feas:
-            return None
-        val = float(sep_batch(p.reshape(1, -1), q.reshape(1, -1), config.j)[0])
-        return ConfigMax(val, (), tuple(p), tuple(q))
+        x, val = los[0], float(values[0])
+    else:
+        lo, hi = _root_box(config)
+        cell = his[0] - los[0]
+        centers = _pick_seeds(0.5 * (los + his), values, cell, _SEED_COUNT)
+        best_vals = _evaluate(config, centers)
+        bands = [(np.bincount([i for i, _ in blk.coeffs], [a for _, a in blk.coeffs], d),
+                  blk.const, blk.lo, blk.hi)
+                 for blk in config.blocks_p + config.blocks_q if blk.coeffs]
 
-    X = _grid_points(config, grid)
-    vals = _evaluate(config, X)
-    best_i = int(np.argmax(vals))
-    if not np.isfinite(vals[best_i]):
-        return None
-    budget.check("grid scan")
+        w = np.maximum(cell * 1.5, _REFINE_STEP)
+        widths = np.tile(w, (len(centers), 1))
+        npts = _ZOOM_POINTS[d]
+        offsets = np.array(list(itertools.product(np.linspace(-1.0, 1.0, npts), repeat=d)))
+        rounds = 0
+        while widths.max() > _REFINE_STEP and rounds < 200:
+            rounds += 1
+            budget.check("refinement")
+            cand = centers[:, None, :] + offsets[None, :, :] * widths[:, None, :]
+            flat = cand.reshape(-1, d)
+            for c, const, band_lo, band_hi in bands:
+                at = const + flat @ c
+                flat += np.outer((np.clip(at, band_lo, band_hi) - at) / (c @ c), c)
+            np.clip(flat, lo, hi, out=flat)
+            cvals = _evaluate(config, flat).reshape(len(centers), -1)
+            arg = np.argmax(cvals, axis=1)
+            for s in range(len(centers)):
+                v = cvals[s, arg[s]]
+                if v > best_vals[s] + 1e-16 * abs(best_vals[s]):
+                    best_vals[s] = v
+                    centers[s] = cand[s, arg[s]]
+                    widths[s] *= 0.6
+                else:
+                    widths[s] *= 0.33
+            # drop hopeless seeds once the windows are already small
+            if rounds == 12 and len(centers) > 2:
+                keep = np.argsort(best_vals)[::-1][:2]
+                centers, best_vals, widths = centers[keep], best_vals[keep], widths[keep]
 
-    lo = np.array([fv.lo for fv in config.free])
-    hi = np.array([fv.hi for fv in config.free])
-    span = hi - lo
-    counts = _axis_counts(d, grid)
-    cell = np.array([
-        (s / (n - 1)) if n > 1 else 0.0 for s, n in zip(span, counts)
-    ])
-    seeds = _pick_seeds(X, vals, cell, _SEED_COUNT)
-    centers = seeds.copy()
-    best_vals = _evaluate(config, centers)
-
-    w = np.maximum(cell * 1.5, _REFINE_STEP)
-    widths = np.tile(w, (len(centers), 1))
-    npts = _ZOOM_POINTS[d]
-    offsets = np.array(list(itertools.product(np.linspace(-1.0, 1.0, npts), repeat=d)))
-    rounds = 0
-    while widths.max() > _REFINE_STEP and rounds < 200:
-        rounds += 1
-        budget.check("refinement")
-        cand = centers[:, None, :] + offsets[None, :, :] * widths[:, None, :]
-        np.clip(cand, lo, hi, out=cand)
-        flat = cand.reshape(-1, d)
-        cvals = _evaluate(config, flat).reshape(len(centers), -1)
-        arg = np.argmax(cvals, axis=1)
-        for s in range(len(centers)):
-            v = cvals[s, arg[s]]
-            if v > best_vals[s] + 1e-16 * max(1.0, abs(best_vals[s])):
-                best_vals[s] = v
-                centers[s] = cand[s, arg[s]]
-                widths[s] *= 0.6
-            else:
-                widths[s] *= 0.33
-        # drop hopeless seeds once the windows are already small
-        if rounds == 12 and len(centers) > 2:
-            keep = np.argsort(best_vals)[::-1][:2]
-            centers, best_vals, widths = centers[keep], best_vals[keep], widths[keep]
-
-    s = int(np.argmax(best_vals))
-    x = centers[s]
+        s = int(np.argmax(best_vals))
+        x, val = centers[s], float(best_vals[s])
     p, q, feas = config.point(x)
-    val = float(best_vals[s])
     if not feas:  # should not happen: best came from a feasible evaluation
         return None
-    return ConfigMax(val, tuple(float(v) for v in x), tuple(p), tuple(q))
+    return ConfigMax(val, tuple(x.tolist()), tuple(p.tolist()), tuple(q.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +213,7 @@ def maximize_config(config: Configuration, *, grid: int = 400, budget: Budget = 
 
 
 _FEAS_PAD = 1e-12
-_ROOT_SPLITS = {1: 32, 2: 16, 3: 6}  # parts per axis of the root-bound lattice, by dimension
+_ROOT_SPLITS = {0: 1, 1: 32, 2: 16, 3: 6}  # parts per axis of a configuration's lattice, by dimension
 
 
 def _root_box(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
@@ -403,43 +380,45 @@ def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarra
     return value + spread + margin
 
 
-def _root_bound(config: Configuration) -> float:
-    """Upper bound on the configuration's whole box, -inf when provably infeasible.
+def _lattice(config: Configuration) -> Lattice:
+    """The configuration's box split into a uniform lattice of parts.
 
-    The box is split into a uniform lattice of ``_ROOT_SPLITS[dim]`` parts per
-    axis (the last edge is ``hi`` itself, so the parts tile the box exactly).
-    Every part gets the monotone corner bound in one batch, the parts that
-    bound leaves finite also the centred form, and each part keeps the
-    smaller of the two; the largest part bound is returned.  Both bounds
-    dominate every point ``Configuration.assemble`` admits in their part,
-    rounding included, so the result dominates the configuration's maximum.
-    A 0-dimensional configuration gets its point value.
+    ``_ROOT_SPLITS[dim]`` parts per axis (the last edge is ``hi`` itself, so
+    the parts tile the box exactly).  Every part gets the monotone corner
+    bound in one batch, the parts that bound leaves finite also the centred
+    form, and each part keeps the smaller of the two.  Both bounds dominate
+    every point ``Configuration.assemble`` admits in their part, rounding
+    included.  Returns the parts' low and high corners, their bounds (-inf
+    for provably infeasible parts) and the value at each part centre,
+    -inf where ``assemble`` does not admit it.  A 0-dimensional configuration
+    is one part, its point, bounded by its corner bound.
     """
     lo, hi = _root_box(config)
-    if config.dim == 0:
-        return float(_cell_bounds_batch(config, lo[None, :], hi[None, :])[0])
     k = _ROOT_SPLITS[config.dim]
     edges = []
     for a, z in zip(lo, hi):
         e = np.linspace(a, z, k + 1)
         e[-1] = z
         edges.append(e)
-    low = np.meshgrid(*(e[:-1] for e in edges), indexing="ij")
-    high = np.meshgrid(*(e[1:] for e in edges), indexing="ij")
-    los = np.stack([m.ravel() for m in low], axis=1)
-    his = np.stack([m.ravel() for m in high], axis=1)
+    los = np.array(list(itertools.product(*(e[:-1] for e in edges))))
+    his = np.array(list(itertools.product(*(e[1:] for e in edges))))
     bounds = _cell_bounds_batch(config, los, his)
     live = np.nonzero(np.isfinite(bounds))[0]
-    if live.size == 0:
-        return -np.inf
-    bounds[live] = np.minimum(bounds[live], _centred_bounds_batch(config, los[live], his[live]))
-    return float(bounds[live].max())
+    if config.dim and live.size:
+        bounds[live] = np.minimum(bounds[live], _centred_bounds_batch(config, los[live], his[live]))
+    return los, his, bounds, _evaluate(config, 0.5 * (los + his))
+
+
+def _root_bound(config: Configuration) -> float:
+    """Upper bound on the configuration's whole box, -inf when provably
+    infeasible: the largest part bound of its lattice."""
+    return float(_lattice(config)[2].max())
 
 
 def _certified_supremum(
     config: Configuration,
     lower: float,
-    root: float,
+    lattice: Lattice,
     *,
     tol: float = 1e-5,
     max_nodes: int = 20000,
@@ -448,29 +427,30 @@ def _certified_supremum(
     """Rigorous upper bound on the configuration supremum via branch-and-bound.
 
     ``lower`` is the incumbent to certify against (typically the best value
-    found across all configurations) and ``root`` a bound of the whole box
-    (``_root_bound``), the key of the root box.  Boxes whose bound does not
-    exceed lower + tol are not split further, nor are boxes narrower than
-    1e-12; widest-axis splits otherwise, and children are bounded in
-    batches.  A child's bound is the monotone corner bound
-    (``_cell_bounds_batch``) and, for the children that bound does not
-    prune, the smaller of it and the centred form (``_centred_bounds_batch``).
+    found across all configurations) and ``lattice`` the configuration's
+    lattice (``_lattice``), whose parts with a bound above lower + tol form
+    the first heap.  Boxes whose bound does not exceed lower + tol are not
+    split further, nor are boxes narrower than 1e-12; widest-axis splits
+    otherwise, and children are bounded in batches.  A child's bound is the
+    monotone corner bound (``_cell_bounds_batch``) and, for the children
+    that bound does not prune, the smaller of it and the centred form
+    (``_centred_bounds_batch``).
 
-    Returns the largest of ``lower``, the bound of every box left unsplit and,
-    at the node cap, the bound of every box still open: a valid upper bound on
-    the configuration supremum, at most lower + tol unless the cap was hit or
-    a box too narrow to split had a larger bound.  Also returns whether the
-    node cap was hit.
+    Returns the largest of ``lower``, the bound of every part or box left
+    unsplit and, at the node cap, the bound of every box still open: a valid
+    upper bound on the configuration supremum, at most lower + tol unless the
+    cap was hit or a box too narrow to split had a larger bound.  Also
+    returns whether the node cap was hit.
     """
-    if not np.isfinite(root):
-        return lower, False
+    los0, his0, bounds0, _values = lattice
     if config.dim == 0:  # the bound of a point is its value
-        return max(lower, root), False
-    lo0, hi0 = _root_box(config)
-    heap = [(-root, 0, lo0, hi0)]
-    counter = 1
+        return max(lower, float(bounds0[0])), False
+    # largest bound of a box left unsplit
+    kept = float(bounds0.max(where=bounds0 <= lower + tol, initial=lower))
+    heap = [(-float(bounds0[i]), i, los0[i], his0[i]) for i in np.nonzero(bounds0 > lower + tol)[0]]
+    heapq.heapify(heap)
+    counter = len(bounds0)
     processed = 0
-    kept = lower  # largest bound of a box left unsplit
     while heap and processed < max_nodes:
         budget.check("certification")
         group_lo, group_hi = [], []
@@ -506,9 +486,7 @@ def _certified_supremum(
             if val > lower + tol:
                 heapq.heappush(heap, (-val, counter, child_lo[i], child_hi[i]))
                 counter += 1
-        shut = bounds[bounds <= lower + tol]
-        if shut.size:
-            kept = max(kept, float(shut.max()))
+        kept = float(bounds.max(where=bounds <= lower + tol, initial=kept))
     if heap:  # node cap hit: the heap top still bounds every open box
         return max(kept, -heap[0][0]), True
     return kept, False
@@ -520,41 +498,43 @@ def _certified_supremum(
 
 
 def _best_config(
-    configs: list[Configuration], *, grid: int, budget: Budget, what: str
-) -> tuple[ConfigMax | None, Configuration | None, list[tuple[Configuration, ConfigMax, float]], list[str]]:
+    configs: list[Configuration], *, budget: Budget, what: str
+) -> tuple[ConfigMax | None, Configuration | None, list[tuple[Configuration, Lattice]], list[str]]:
     """Maximize the configurations that their root bound does not prove dominated.
 
-    Every configuration's whole box is bounded by ``_root_bound`` (split into
-    a lattice of parts, each bounded by the smaller of the corner and the
-    centred form).  Configurations are maximized in descending order of
-    that bound; the scan stops at the first bound strictly below the
-    incumbent, since no configuration from there on can reach it.  Returns
-    the winner (highest value, ties to the smallest ``describe()``) with its
-    configuration, the (configuration, maximum, root bound) of every
-    configuration maximized, and the ``describe()`` of every configuration
-    found to have no feasible point.  Configurations skipped as dominated are
-    not examined further.
+    Every configuration's box is cut into its lattice (``_lattice``) once;
+    its root bound is the largest part bound.  Configurations are maximized
+    in descending order of that bound, seeded from their lattice; the search
+    stops at the first bound strictly below the incumbent, since no
+    configuration from there on can reach it.  Returns the winner (highest
+    value, ties to the smallest ``describe()``) with its configuration, the
+    (configuration, lattice) of every configuration examined with a finite
+    root bound, those whose lattice seeded no search included, and the
+    ``describe()`` of every configuration examined whose root bound is -inf,
+    which proves it has no feasible point.  Configurations skipped as
+    dominated are not examined further.
     """
-    roots = [_root_bound(cfg) for cfg in configs]
+    lattices = [_lattice(cfg) for cfg in configs]
+    roots = [float(bounds.max()) for _los, _his, bounds, _values in lattices]
     best: ConfigMax | None = None
     best_cfg: Configuration | None = None
-    scanned: list[tuple[Configuration, ConfigMax, float]] = []
+    examined: list[tuple[Configuration, Lattice]] = []
     vacuous: list[str] = []
     for i in sorted(range(len(configs)), key=lambda i: -roots[i]):
         cfg, root = configs[i], roots[i]
         if best is not None and root < best.value:
             break
         budget.check(what)
-        res = maximize_config(cfg, grid=grid, budget=budget) if np.isfinite(root) else None
-        if res is None:
+        if not np.isfinite(root):
             vacuous.append(cfg.describe())
             continue
-        scanned.append((cfg, res, root))
-        if best is None or res.value > best.value or (
+        examined.append((cfg, lattices[i]))
+        res = maximize_config(cfg, lattices[i], budget=budget)
+        if res is not None and (best is None or res.value > best.value or (
             res.value == best.value and cfg.describe() < best_cfg.describe()
-        ):
+        )):
             best, best_cfg = res, cfg
-    return best, best_cfg, scanned, vacuous
+    return best, best_cfg, examined, vacuous
 
 
 def compute_cell_max(
@@ -563,23 +543,24 @@ def compute_cell_max(
     b: int,
     j: int,
     *,
-    grid: int = 400,
     certify: bool = False,
     cert_tol: float = 1e-9,
     budget: Budget = NO_BUDGET,
 ) -> CellMaxResult:
     """Maximize over every candidate configuration of one cell-pair selector.
 
-    With ``certify`` each maximized configuration is certified to within
-    ``cert_tol`` times |maximum| of the maximum (``_certified_supremum``).
-    ``vacuous_families`` lists the configurations found to have no feasible
-    point; configurations skipped as dominated are not among them.
+    With ``certify`` every configuration examined with a finite root bound is
+    certified to within ``cert_tol`` times |maximum| of the maximum
+    (``_certified_supremum``), whether or not its lattice seeded a search.
+    ``vacuous_families`` lists the configurations whose root bound proves
+    they have no feasible point; configurations skipped as dominated are not
+    among them.
     """
     candidates = enumerate_candidates(spec, which, b, j)
     if not candidates:
         raise ValueError(f"no candidate configurations for {which} at (b={b}, j={j})")
-    best, best_cfg, scanned, vacuous = _best_config(
-        candidates, grid=grid, budget=budget, what=f"{which.label} enumeration"
+    best, best_cfg, examined, vacuous = _best_config(
+        candidates, budget=budget, what=f"{which.label} enumeration"
     )
     if best is None:
         raise ValueError(f"every configuration vacuous for {which} at (b={b}, j={j})")
@@ -587,12 +568,12 @@ def compute_cell_max(
     capped = False
     if certify:
         # certify against the best value across configurations: dominated
-        # configurations prune in a handful of splits, and those the scan
+        # configurations prune in a handful of splits, and those the search
         # skipped have a root bound below it already
         certified = best.value
         tol = cert_tol * abs(best.value)
-        for cfg, _res, root in scanned:
-            sup, hit = _certified_supremum(cfg, best.value, root, tol=tol, budget=budget)
+        for cfg, lattice in examined:
+            sup, hit = _certified_supremum(cfg, best.value, lattice, tol=tol, budget=budget)
             certified = max(certified, sup)
             capped |= hit
         excess = max(0.0, certified - best.value)
@@ -618,22 +599,19 @@ def compute_all_cell_maxima(
     b: int,
     j: int,
     *,
-    grid: int = 400,
     certify: bool = False,
     budget: Budget = NO_BUDGET,
 ) -> dict[CellPair, CellMaxResult]:
     return {
-        which: compute_cell_max(
-            spec, which, b, j, grid=grid, certify=certify, budget=budget
-        )
+        which: compute_cell_max(spec, which, b, j, certify=certify, budget=budget)
         for which in CellPair
     }
 
 
-def global_form_max(b: int, j: int, *, grid: int = 400, budget: Budget = NO_BUDGET) -> ConfigMax:
+def global_form_max(b: int, j: int, *, budget: Budget = NO_BUDGET) -> ConfigMax:
     """Unconstrained maximum of the order-j polynomial over simplex pairs."""
-    best, _cfg, _scanned, _vacuous = _best_config(
-        global_candidates(b, j), grid=grid, budget=budget, what="global max"
+    best, _cfg, _examined, _vacuous = _best_config(
+        global_candidates(b, j), budget=budget, what="global max"
     )
     if best is None:
         raise ValueError(f"global maximum enumeration vacuous at (b={b}, j={j})")

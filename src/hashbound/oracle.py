@@ -186,8 +186,8 @@ def sample_subdomain(
         requested=count,
         evaluated=got,
         best_value=best if best_p is not None else math.nan,
-        best_p=tuple(best_p) if best_p is not None else (),
-        best_q=tuple(best_q) if best_q is not None else (),
+        best_p=tuple(best_p.tolist()) if best_p is not None else (),
+        best_q=tuple(best_q.tolist()) if best_q is not None else (),
         inconclusive=inconclusive,
         engine_value=engine_value,
     )

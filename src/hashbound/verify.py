@@ -75,11 +75,10 @@ def check_sampling_dominance(
     count: int,
     seed: int,
     *,
-    grid: int = 400,
     engine_value: float | None = None,
 ) -> CheckResult:
     if engine_value is None:
-        engine_value = compute_cell_max(spec, which, b, j, grid=grid).value
+        engine_value = compute_cell_max(spec, which, b, j).value
     rep = sample_subdomain(spec, which, b, j, count, seed, engine_value=engine_value)
     if rep.inconclusive and rep.evaluated == 0:
         return CheckResult(
@@ -104,7 +103,6 @@ def run_verification(
     lemma_count: int = 10000,
     eta_count: int = 100000,
     dominance_count: int = 20000,
-    grid: int = 200,
 ) -> list[CheckResult]:
     """The default cross-validation battery (a trimmed acceptance run)."""
     out: list[CheckResult] = []
@@ -124,9 +122,5 @@ def run_verification(
     )
     spec = PartitionSpec(PartitionKind.MIN_VALUE, 0.05)
     for i, which in enumerate(CellPair):
-        out.append(
-            check_sampling_dominance(
-                spec, which, 6, 4, dominance_count, seed + 300 + i, grid=grid
-            )
-        )
+        out.append(check_sampling_dominance(spec, which, 6, 4, dominance_count, seed + 300 + i))
     return out

@@ -10,7 +10,7 @@ settings.load_profile("repro")
 
 @pytest.fixture(scope="session")
 def partition_report():
-    """Memoized default-grid pipeline runs for the preset (b,k) pairs.
+    """Memoized default pipeline runs for the preset (b,k) pairs.
 
     The heavy engine runs are shared across acceptance criteria and module
     tests; everything downstream (cell grids, combined form bounds, rates)

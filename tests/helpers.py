@@ -8,10 +8,11 @@ oracle evaluates the separation polynomial exactly in ``Fraction``, the cell
 predicates test one vector at a time where the sampler masks whole batches,
 the rejection reference keeps uniform simplex draws where the sampler
 constructs cell members directly, and the hash-code checker compares symbol
-bitmasks where the engine compares symbol sets.  The one exception is
-``sep_by_full_generating_pass``, which repeats ``sep_batch``'s arithmetic on
+bitmasks where the engine compares symbol sets.  Two exceptions:
+``sep_by_full_generating_pass`` repeats ``sep_batch``'s arithmetic on
 purpose, without its row restriction, so that a test can require the two to
-agree bit for bit.
+agree bit for bit; and ``dense_scan_max``, a reference for the optimizer's
+search rather than for the evaluator, evaluates with ``sep_batch``.
 """
 
 import itertools
@@ -22,8 +23,9 @@ from itertools import permutations
 
 import numpy as np
 
-from hashbound.configs import PartitionKind, PartitionSpec
+from hashbound.configs import Configuration, PartitionKind, PartitionSpec
 from hashbound.reporting import round_up_str
+from hashbound.seppoly import sep_batch
 
 
 def sep_naive_batch(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
@@ -308,3 +310,27 @@ def matches_printed(computed: float, printed: str) -> bool:
 
 def _nudge(x: float) -> float:
     return x - abs(x) * 1e-11
+
+
+def dense_scan_max(config: Configuration, grid: int = 400) -> float:
+    """Largest value over a dense grid of the configuration's box, -inf when
+    ``assemble`` admits no grid point.
+
+    ``grid + 1`` points along one free variable; two and three variables get
+    a per-axis count that keeps the scan near 45 * grid and 180 * grid points,
+    at least 9 per axis.  An axis narrower than 1e-12 gets its midpoint only.
+    """
+    d = config.dim
+    if d <= 1:
+        counts = [max(2, grid + 1)] * d
+    else:
+        budget = 45.0 * grid * (4.0 if d == 3 else 1.0)
+        counts = [max(9, int(round(budget ** (1.0 / d))))] * d
+    axes = [
+        np.array([0.5 * (fv.lo + fv.hi)]) if fv.hi - fv.lo < 1e-12 else np.linspace(fv.lo, fv.hi, n)
+        for fv, n in zip(config.free, counts)
+    ]
+    P, Q, feas = config.assemble(np.array(list(itertools.product(*axes))))
+    if not feas.any():
+        return -np.inf
+    return float(sep_batch(P[feas], Q[feas], config.j).max())

@@ -121,32 +121,28 @@ def test_table_table1_subset(capsys, monkeypatch):
     assert rows[1]["path"] == "global"
 
 
-def test_table_mi_tables_low_grid(capsys, monkeypatch):
+def test_table_mi_tables_subset(capsys, monkeypatch):
     subset = {(6, 6): presets.PARTITION_PRESETS[(6, 6)]}
     monkeypatch.setattr(presets, "PARTITION_PRESETS", subset)
-    code, out, _ = run(capsys, "table", "--preset", "mi-tables", "--grid", "150",
-                       "--format", "csv")
+    code, out, _ = run(capsys, "table", "--preset", "mi-tables", "--format", "csv")
     assert code == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1
     assert abs(float(rows[0]["m1_raw"]) - 5 / 27) < 1e-6
 
 
-def test_table_msvalues_low_grid(capsys, monkeypatch):
+def test_table_msvalues_subset(capsys, monkeypatch):
     subset = {(6, 6): presets.PARTITION_PRESETS[(6, 6)]}
     monkeypatch.setattr(presets, "PARTITION_PRESETS", subset)
-    code, out, _ = run(capsys, "table", "--preset", "msvalues", "--format", "csv",
-                       "--grid", "150")
+    code, out, _ = run(capsys, "table", "--preset", "msvalues", "--format", "csv")
     assert code == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(out)))
     assert abs(float(rows[0]["combined_form_raw"]) - 5 / 27) < 1e-6
 
 
 def test_verify_deterministic_and_green(capsys):
-    code1, out1, _ = run(capsys, "verify", "--seed", "42", "--samples", "800",
-                         "--grid", "120")
-    code2, out2, _ = run(capsys, "verify", "--seed", "42", "--samples", "800",
-                         "--grid", "120")
+    code1, out1, _ = run(capsys, "verify", "--seed", "42", "--samples", "800")
+    code2, out2, _ = run(capsys, "verify", "--seed", "42", "--samples", "800")
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
     assert "FAIL" not in out1
@@ -154,7 +150,7 @@ def test_verify_deterministic_and_green(capsys):
 
 def test_verify_json_reports_plain_bools(capsys):
     code, out, _ = run(capsys, "verify", "--seed", "42", "--samples", "800",
-                       "--grid", "120", "--format", "json")
+                       "--format", "json")
     assert code == EXIT_OK
     checks = json.loads(out)["checks"]
     assert checks
@@ -166,7 +162,7 @@ def test_sweep_eps_six_six(capsys):
     code, out, _ = run(
         capsys, "sweep-eps", "--b", "6", "--k", "6", "--partition", "min",
         "--eps-min", "0.03", "--eps-max", "0.15", "--steps", "3",
-        "--grid", "150", "--format", "csv",
+        "--format", "csv",
     )
     assert code == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -180,7 +176,7 @@ def test_sweep_eps_seven_seven_covers_preset(capsys):
     code, out, _ = run(
         capsys, "sweep-eps", "--b", "7", "--k", "7", "--partition", "max",
         "--eps-min", "0.05", "--eps-max", str(1 / 6), "--steps", "20",
-        "--grid", "150", "--format", "csv",
+        "--format", "csv",
     )
     assert code == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -222,7 +218,7 @@ def test_sample_mi_command(capsys):
     code, out, _ = run(
         capsys, "sample-mi", "--b", "6", "--j", "4", "--partition", "min",
         "--eps", "0.05", "--which", "m1", "--count", "3000", "--seed", "9",
-        "--grid", "120",
     )
     assert code == EXIT_OK
     assert "best_sampled" in out
+    assert "np.float64" not in out  # the witness prints as plain floats

@@ -140,20 +140,19 @@ def test_global_max_is_computed_once_across_eps(monkeypatch):
     calls = []
 
     def counted(b, j, **kwargs):
-        calls.append((b, j, kwargs["grid"]))
+        calls.append((b, j))
         return global_form_max(b, j, **kwargs)
 
     monkeypatch.setattr(combiner, "global_form_max", counted)
     # a budget that has already run out raises, and leaves nothing behind
     with pytest.raises(BudgetExceeded):
-        full_bound(5, 5, grid=100, budget=Budget(0.0))
+        full_bound(5, 5, budget=Budget(0.0))
     assert combiner._GLOBAL_MAX_MEMO == {}
     reps = [
-        full_bound(5, 5, 2, PartitionSpec(PartitionKind.MAX_VALUE, eps), grid=100)
+        full_bound(5, 5, 2, PartitionSpec(PartitionKind.MAX_VALUE, eps))
         for eps in (0.2, 0.25)
     ]
-    assert calls == [(5, 3, 100)] * 2
-    fresh = max(global_form_max(5, 3, grid=100).value, reps[0].uniform_form_value)
+    assert calls == [(5, 3)] * 2
+    assert list(combiner._GLOBAL_MAX_MEMO) == [(5, 3)]
+    fresh = max(global_form_max(5, 3).value, reps[0].uniform_form_value)
     assert reps[0].global_form_bound == reps[1].global_form_bound == fresh
-    full_bound(5, 5, 2, PartitionSpec(PartitionKind.MAX_VALUE, 0.2), grid=120)
-    assert calls[-1] == (5, 3, 120)

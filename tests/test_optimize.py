@@ -20,6 +20,7 @@ from hashbound.optimize import (
     _cell_bounds_batch,
     _centred_bounds_batch,
     _certified_supremum,
+    _lattice,
     _root_bound,
     _root_box,
     compute_all_cell_maxima,
@@ -28,6 +29,8 @@ from hashbound.optimize import (
     maximize_config,
 )
 from hashbound.seppoly import sep_batch, sep_uniform_exact, SepParams
+
+from helpers import dense_scan_max
 
 
 def test_zero_dim_config_is_exact():
@@ -48,7 +51,7 @@ def test_maximize_dominates_random_probes():
     for which in (CellPair.BULK_BULK, CellPair.TAGGED_SAME):
         cfgs = enumerate_candidates(spec, which, 6, 4)
         for cfg in cfgs[:8]:
-            res = maximize_config(cfg, grid=200)
+            res = maximize_config(cfg)
             if res is None or cfg.dim == 0:
                 continue
             lo = np.array([fv.lo for fv in cfg.free])
@@ -70,23 +73,23 @@ def test_cell_max_seven_seven_m3():
 
 def test_cell_max_flags_upper_bounds():
     spec = PartitionSpec(PartitionKind.MIN_VALUE, 0.05)
-    assert compute_cell_max(spec, CellPair.TAGGED_SAME, 6, 4, grid=100).exactness == "upper_bound"
-    assert compute_cell_max(spec, CellPair.TAGGED_CROSS, 6, 4, grid=100).exactness == "upper_bound"
-    assert compute_cell_max(spec, CellPair.BULK_BULK, 6, 4, grid=100).exactness == "attained"
+    assert compute_cell_max(spec, CellPair.TAGGED_SAME, 6, 4).exactness == "upper_bound"
+    assert compute_cell_max(spec, CellPair.TAGGED_CROSS, 6, 4).exactness == "upper_bound"
+    assert compute_cell_max(spec, CellPair.BULK_BULK, 6, 4).exactness == "attained"
 
 
 def test_global_form_max_truncated_simplex():
     # for (6, j=4) the unconstrained maximum sits at a vertex against the
     # spread vector, giving 0.192 exactly
-    res = global_form_max(6, 4, grid=200)
+    res = global_form_max(6, 4)
     assert res.value == pytest.approx(0.192, abs=1e-9)
 
 
 def test_certified_mode_small_excess():
     spec = PartitionSpec(PartitionKind.MIN_VALUE, 0.05)
-    res = compute_cell_max(spec, CellPair.BULK_BULK, 6, 4, grid=200, certify=True)
+    res = compute_cell_max(spec, CellPair.BULK_BULK, 6, 4, certify=True)
     assert 0.0 <= res.certified_excess < 1e-4
-    plain = compute_cell_max(spec, CellPair.BULK_BULK, 6, 4, grid=200)
+    plain = compute_cell_max(spec, CellPair.BULK_BULK, 6, 4)
     assert res.value == pytest.approx(plain.value, abs=1e-12)
     assert not res.certify_capped and not plain.certify_capped
 
@@ -242,7 +245,7 @@ def test_root_bound_pruning_matches_brute_force(monkeypatch, kind, eps, b, j, wh
         cfgs = enumerate_candidates(spec, which, b, j)
     best = best_tag = None
     for cfg in cfgs:
-        res = maximize_config(cfg, grid=100)
+        res = maximize_config(cfg)
         if res is None:
             continue
         tag = cfg.describe()
@@ -251,48 +254,95 @@ def test_root_bound_pruning_matches_brute_force(monkeypatch, kind, eps, b, j, wh
 
     maximized = []
 
-    def counted(cfg, **kwargs):
-        res = maximize_config(cfg, **kwargs)
+    def counted(cfg, *args, **kwargs):
+        res = maximize_config(cfg, *args, **kwargs)
         maximized.append((cfg.describe(), res))
         return res
 
     monkeypatch.setattr(optimize, "maximize_config", counted)
     if which is None:
-        got = global_form_max(b, j, grid=100)
+        got = global_form_max(b, j)
         got_tag = next(tag for tag, res in maximized if res is got)
     else:
-        got = compute_cell_max(spec, which, b, j, grid=100)
+        got = compute_cell_max(spec, which, b, j)
         got_tag = got.config_tag
     assert (got.value, got_tag, got.p, got.q) == (best.value, best_tag, best.p, best.q)
     feasible = {cfg.describe() for cfg in cfgs if np.isfinite(_root_bound(cfg))}
     assert feasible - {tag for tag, _res in maximized}, "no configuration was skipped"
 
 
-def test_split_root_bound_between_maximum_and_corner_bound():
-    # the split bound dominates every configuration's maximum and is never
-    # looser than the corner bound of the whole box
+def _preset_and_sweep_configurations():
+    """Every configuration of the (5,5), (6,6), (7,7) and (9,8) presets and
+    of the two cells of the eps sweep, off their presets."""
     from hashbound import presets
 
     cells = []
     for b, k in ((5, 5), (6, 6), (7, 7), (9, 8)):
         pre = presets.PARTITION_PRESETS[(b, k)]
         cells.append((pre.spec(), b, pre.j))
-    # the two cells of the eps sweep, off their presets
     cells += [(PartitionSpec(PartitionKind.MIN_VALUE, 0.047), 6, 3),
               (PartitionSpec(PartitionKind.MAX_VALUE, 0.093), 7, 5)]
+    return [cfg for spec, b, j in cells for which in CellPair
+            for cfg in enumerate_candidates(spec, which, b, j)]
+
+
+def test_split_root_bound_between_maximum_and_corner_bound():
+    # the split bound dominates every configuration's maximum and is never
+    # looser than the corner bound of the whole box
     checked = 0
-    for spec, b, j in cells:
-        for which in CellPair:
-            for cfg in enumerate_candidates(spec, which, b, j):
-                lo, hi = _root_box(cfg)
-                corner = _cell_bounds_batch(cfg, lo[None, :], hi[None, :])[0]
-                split = _root_bound(cfg)
-                assert split <= corner, cfg.describe()
-                res = maximize_config(cfg)
-                if res is not None:
-                    assert res.value <= split, cfg.describe()
-                    checked += 1
+    for cfg in _preset_and_sweep_configurations():
+        lo, hi = _root_box(cfg)
+        corner = _cell_bounds_batch(cfg, lo[None, :], hi[None, :])[0]
+        split = _root_bound(cfg)
+        assert split <= corner, cfg.describe()
+        res = maximize_config(cfg)
+        if res is not None:
+            assert res.value <= split, cfg.describe()
+            checked += 1
     assert checked >= 400
+
+
+def test_lattice_seeds_reach_dense_scan_maximum():
+    # the lattice centres that seed the local search are far coarser than a
+    # dense grid scan; the search must still reach every value the scan finds
+    checked = 0
+    for cfg in _preset_and_sweep_configurations():
+        reference = dense_scan_max(cfg)
+        if not np.isfinite(reference):
+            continue
+        res = maximize_config(cfg)
+        assert res is not None, cfg.describe()
+        assert res.value >= reference - 1e-12 * abs(res.value), cfg.describe()
+        checked += 1
+    assert checked >= 400
+
+
+def test_certified_value_covers_configuration_without_admitted_seed(monkeypatch):
+    # a 1-D band of width 1e-4 holds no centre of its configuration's lattice
+    # (nor a point of a dense grid), so the local search has nowhere to start;
+    # its root bound is finite, and the certified value must still cover it
+    def config(family, a_lo, a_hi):
+        return Configuration(
+            b=3, j=2, kind=PartitionKind.MAX_VALUE, selector=CellPair.BULK_BULK, eps=0.1,
+            family=family, discrete=(),
+            blocks_p=(Block(3, 0.0, ((0, 1.0),), a_lo, a_hi),),
+            blocks_q=(Block(3, 1 / 3, (), 1 / 3, 1 / 3),),
+            free=(FreeVar("a", 0.0, 1.0),),
+        )
+
+    ordinary = config("test/ordinary", 0.0, 0.3)
+    sliver = config("test/sliver", 0.3001, 0.3002)
+    assert maximize_config(sliver) is None and np.isfinite(_root_bound(sliver))
+    P, Q, feas = sliver.assemble(np.linspace(0.3001, 0.3002, 101)[:, None])
+    sliver_max = sep_batch(P[feas], Q[feas], sliver.j).max()
+
+    monkeypatch.setattr(optimize, "enumerate_candidates", lambda *args: [ordinary, sliver])
+    spec = PartitionSpec(PartitionKind.MAX_VALUE, 0.1)
+    res = compute_cell_max(spec, CellPair.BULK_BULK, 3, 2, certify=True)
+    assert res.config_tag == "test/ordinary"
+    assert res.value < sliver_max
+    assert res.value + res.certified_excess >= sliver_max
+    assert res.vacuous_families == ()
 
 
 def test_certified_supremum_keeps_slack_of_dropped_boxes():
@@ -306,7 +356,7 @@ def test_certified_supremum_keeps_slack_of_dropped_boxes():
         res = compute_cell_max(pre.spec(), which, 5, pre.j)
         cfg = next(c for c in enumerate_candidates(pre.spec(), which, 5, pre.j)
                    if c.describe() == res.config_tag)
-        sup, capped = _certified_supremum(cfg, res.value - 5e-6, _root_bound(cfg), tol=1e-5)
+        sup, capped = _certified_supremum(cfg, res.value - 5e-6, _lattice(cfg), tol=1e-5)
         assert not capped, which
         assert res.value <= sup <= res.value + 5e-6, which
 
@@ -343,7 +393,7 @@ def test_bulk_bulk_dominates_uniform_value():
         (PartitionKind.MIN_VALUE, 0.05, 6, 4),
     ):
         spec = PartitionSpec(kind, eps)
-        res = compute_cell_max(spec, CellPair.BULK_BULK, b, j, grid=150)
+        res = compute_cell_max(spec, CellPair.BULK_BULK, b, j)
         assert res.value >= sep_uniform_exact(SepParams(b, j)) - 1e-12
 
 
@@ -353,6 +403,6 @@ def test_global_max_at_uniform_for_every_shortcut_pair():
     from hashbound import presets
 
     for b, k in sorted(presets.UNIFORM_GLOBAL_MAX_PAIRS):
-        res = global_form_max(b, k - 2, grid=150)
+        res = global_form_max(b, k - 2)
         uniform = sep_uniform_exact(SepParams(b, k - 2))
         assert res.value == pytest.approx(uniform, abs=1e-9), (b, k)

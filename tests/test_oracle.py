@@ -58,7 +58,7 @@ def test_sample_members_satisfy_exact_predicates():
 
 def test_sampling_bounded_by_engine():
     spec = PartitionSpec(PartitionKind.MAX_VALUE, 9 / 100)
-    engine = compute_cell_max(spec, CellPair.BULK_BULK, 7, 5, grid=200).value
+    engine = compute_cell_max(spec, CellPair.BULK_BULK, 7, 5).value
     rep = sample_subdomain(spec, CellPair.BULK_BULK, 7, 5, 20000, seed=2)
     assert rep.best_value <= engine + 1e-9
     # the bulk cell contains the uniform point, so samples should come close

@@ -9,7 +9,6 @@ def _trimmed(seed=42):
         lemma_count=1500,
         eta_count=10000,
         dominance_count=4000,
-        grid=120,
     )
 
 
