@@ -267,6 +267,8 @@ def full_bound(
                 flags.append(f"{which.label}:upper-bound")
             if res.certify_capped:
                 flags.append(f"{which.label}:certify-node-cap")
+            if res.unsearched and not certify:
+                flags.append(f"{which.label}:unsearched-configuration")
         partition_rate = rate_from_form_bound(b, k, pj, comb.value)
 
     if (b, k) in presets.UNIFORM_GLOBAL_MAX_PAIRS:

@@ -33,6 +33,7 @@ Conventions used by every family below:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -123,9 +124,6 @@ class Block:
 class Configuration:
     b: int
     j: int
-    kind: PartitionKind
-    selector: CellPair
-    eps: float
     family: str
     discrete: tuple[tuple[str, float], ...]
     blocks_p: tuple[Block, ...]
@@ -168,138 +166,108 @@ class Configuration:
 
 
 # ---------------------------------------------------------------------------
-# side builder
+# configuration builder
 # ---------------------------------------------------------------------------
 
-_CONST = "const"
-_VAR = "var"
+#: one side of a family shape: (multiplicity, constant value or free variable)
+Entry = tuple[int, float | FreeVar]
+#: what a family generator yields: (family, discrete choices, p entries, q entries)
+Shape = tuple[str, tuple[tuple[str, float], ...], list[Entry], list[Entry]]
+
+
+def _side(entries: Sequence[Entry], base: int) -> tuple[tuple[Block, ...], list[FreeVar]] | None:
+    """Blocks of one side and the boxes of its free variables, numbered from base.
+
+    The last variable entry is eliminated against the unit-sum identity and
+    the others keep their own boxes, tightened against it.  Returns None when
+    the side is infeasible (empty box or inconsistent constants).
+    """
+    entries = [(m, s) for m, s in entries if m > 0]
+    residual = 1.0 - math.fsum(m * s for m, s in entries if not isinstance(s, FreeVar))
+    unknowns = [(pos, m, s) for pos, (m, s) in enumerate(entries) if isinstance(s, FreeVar)]
+    if not unknowns:
+        if abs(residual) > _SUM_TOL:
+            return None
+        return tuple(Block(m, s, (), s, s) for m, s in entries), []
+    *frees, (elim_pos, elim_mult, elim) = unknowns
+    # tighten each free box against the elimination identity
+    boxes = []
+    for i, (_, mi, si) in enumerate(frees):
+        others = [(mw, sw) for t, (_, mw, sw) in enumerate(frees) if t != i]
+        lo_rest = elim_mult * elim.lo + math.fsum(mw * sw.lo for mw, sw in others)
+        hi_rest = elim_mult * elim.hi + math.fsum(mw * sw.hi for mw, sw in others)
+        lo = max(si.lo, (residual - hi_rest) / mi)
+        hi = min(si.hi, (residual - lo_rest) / mi)
+        if lo > hi + _FEAS_TOL:
+            return None
+        boxes.append(FreeVar(si.name, lo, hi))
+    # emptiness check for the eliminated block
+    lo_att = (residual - math.fsum(m * fv.hi for (_, m, _), fv in zip(frees, boxes))) / elim_mult
+    hi_att = (residual - math.fsum(m * fv.lo for (_, m, _), fv in zip(frees, boxes))) / elim_mult
+    if hi_att < elim.lo - _FEAS_TOL or lo_att > elim.hi + _FEAS_TOL:
+        return None
+    index = {pos: base + t for t, (pos, _, _) in enumerate(frees)}
+    blocks = []
+    for pos, (m, s) in enumerate(entries):
+        if not isinstance(s, FreeVar):
+            blocks.append(Block(m, s, (), s, s))
+        elif pos == elim_pos:
+            coeffs = tuple((index[fp], -fm / elim_mult) for fp, fm, _ in frees)
+            blocks.append(Block(m, residual / elim_mult, coeffs, s.lo, s.hi))
+        else:
+            blocks.append(Block(m, 0.0, ((index[pos], 1.0),), s.lo, s.hi))
+    return tuple(blocks), boxes
 
 
 def _build_config(
     b: int,
     j: int,
-    kind: PartitionKind,
-    selector: CellPair,
-    eps: float,
     family: str,
     discrete: Sequence[tuple[str, float]],
-    p_entries: Sequence[tuple[int, tuple]],
-    q_entries: Sequence[tuple[int, tuple]],
+    p_entries: Sequence[Entry],
+    q_entries: Sequence[Entry],
 ) -> Configuration | None:
     """Assemble a configuration, eliminating one variable per side.
 
-    Entries are (mult, ("const", c)) or (mult, ("var", name, lo, hi)); zero
-    multiplicities are dropped.  Returns None when the family instance is
-    infeasible (empty box or inconsistent constants).
+    Entries are (mult, c) for a constant block c or (mult, FreeVar) for a
+    block with its own variable and range (``_V``); zero multiplicities are
+    dropped.  Returns None when the family instance is infeasible.
     """
-    sides = []
-    n_free = 0
-    free_specs: list[tuple[str, float, float]] = []
-    for entries in (p_entries, q_entries):
-        entries = [(m, s) for (m, s) in entries if m > 0]
-        const_sum = math.fsum(m * s[1] for m, s in entries if s[0] == _CONST)
-        unknowns = [(pos, m, s) for pos, (m, s) in enumerate(entries) if s[0] == _VAR]
-        residual = 1.0 - const_sum
-        if not unknowns:
-            if abs(residual) > _SUM_TOL:
-                return None
-            sides.append((entries, [], None, residual))
-            continue
-        elim_pos, elim_mult, elim_spec = unknowns[-1]
-        frees = unknowns[:-1]
-        # tighten each free box against the elimination identity
-        boxes = []
-        for i, (_, mi, si) in enumerate(frees):
-            others = [(mw, sw) for t, (_, mw, sw) in enumerate(frees) if t != i]
-            lo_rest = elim_mult * elim_spec[2] + math.fsum(mw * sw[2] for mw, sw in others)
-            hi_rest = elim_mult * elim_spec[3] + math.fsum(mw * sw[3] for mw, sw in others)
-            lo = max(si[2], (residual - hi_rest) / mi)
-            hi = min(si[3], (residual - lo_rest) / mi)
-            if lo > hi + _FEAS_TOL:
-                return None
-            boxes.append((si[1], lo, hi))
-        if not frees:
-            # eliminated value is fully determined
-            val = residual / elim_mult
-            if not elim_spec[2] - _FEAS_TOL <= val <= elim_spec[3] + _FEAS_TOL:
-                return None
-        else:
-            # quick emptiness check for the eliminated block
-            lo_att = (residual - math.fsum(m * hi for (_, m, s), (_, _, hi) in zip(frees, boxes))) / elim_mult
-            hi_att = (residual - math.fsum(m * lo for (_, m, s), (_, lo, _) in zip(frees, boxes))) / elim_mult
-            if hi_att < elim_spec[2] - _FEAS_TOL or lo_att > elim_spec[3] + _FEAS_TOL:
-                return None
-        base = n_free
-        free_specs.extend(boxes)
-        n_free += len(boxes)
-        sides.append((entries, frees, (elim_pos, elim_mult, elim_spec, residual, base), residual))
-
-    def blocks_for(side) -> tuple[Block, ...]:
-        entries, frees, elim, residual = side
-        out = []
-        free_idx = {}
-        if elim is not None:
-            base = elim[4]
-            for off, (pos, _, _) in enumerate(frees):
-                free_idx[pos] = base + off
-        for pos, (m, s) in enumerate(entries):
-            if s[0] == _CONST:
-                out.append(Block(m, s[1], (), s[1], s[1]))
-            elif elim is not None and pos == elim[0]:
-                coeffs = tuple(
-                    (free_idx[fp], -fm / elim[1]) for (fp, fm, _) in frees
-                )
-                out.append(Block(m, elim[3] / elim[1], coeffs, s[2], s[3]))
-            else:
-                out.append(Block(m, 0.0, ((free_idx[pos], 1.0),), s[2], s[3]))
-        return tuple(out)
-
-    blocks_p = blocks_for(sides[0])
-    blocks_q = blocks_for(sides[1])
-    free = tuple(FreeVar(name, lo, hi) for name, lo, hi in free_specs)
-    return Configuration(
-        b=b,
-        j=j,
-        kind=kind,
-        selector=selector,
-        eps=eps,
-        family=family,
-        discrete=tuple(discrete),
-        blocks_p=blocks_p,
-        blocks_q=blocks_q,
-        free=free,
-    )
+    p = _side(p_entries, 0)
+    q = None if p is None else _side(q_entries, len(p[1]))
+    if q is None:
+        return None
+    return Configuration(b, j, family, tuple(discrete), p[0], q[0], tuple(p[1] + q[1]))
 
 
-def _zeros_ok(count: int, special: int, b: int, j: int) -> bool:
-    return count == special or count <= b - j
+def _configs(b: int, j: int, shapes: Iterable[Shape]) -> list[Configuration]:
+    """The feasible configurations of a family generator's shapes, in order."""
+    return [cfg for shape in shapes if (cfg := _build_config(b, j, *shape)) is not None]
 
 
 def _admit(readings: Iterable[int], special: int, b: int, j: int) -> bool:
-    return any(_zeros_ok(c, special, b, j) for c in readings)
+    """Some reading of a side's zero count is the special count or at most b-j."""
+    return any(c == special or c <= b - j for c in readings)
 
 
-def _C(c: float) -> tuple:
-    return (_CONST, float(c))
-
-
-def _V(name: str, lo: float, hi: float) -> tuple:
-    return (_VAR, name, float(lo), float(hi))
+def _V(name: str, lo: float, hi: float) -> FreeVar:
+    return FreeVar(name, float(lo), float(hi))
 
 
 # ---------------------------------------------------------------------------
-# family generators
+# family generators: each yields the shapes of its family instances
 # ---------------------------------------------------------------------------
 
 
-def _global_max_families(b, j, kind, selector, eps):
+def _global_max_families(b, j, _eps=None):
     """Unconstrained-maximum families: zero blocks in opposing positions.
 
     Shape (0^l1, a^l2, c^m ; d^l1, 0^l2, e^m); zero counts b-1 or at most b-j.
     Used for the bulk/tagged selector of the max partition, the cross-tag
-    selector of the min partition, and the global shortcut path.
+    selector of the min partition, and the global shortcut path.  The
+    families do not depend on eps; ``_eps`` only matches the signature of
+    the other generators in ``_FAMILIES``.
     """
-    out = []
     special = b - 1
     for l1 in range(0, b + 1):
         if not _admit((l1,), special, b, j):
@@ -308,65 +276,39 @@ def _global_max_families(b, j, kind, selector, eps):
             if not _admit((l2,), special, b, j):
                 continue
             m = b - l1 - l2
-            cfg = _build_config(
-                b, j, kind, selector, eps,
-                "global/opposed-zeros", (("l1", l1), ("l2", l2)),
-                [(l1, _C(0)), (l2, _V("a", 0, 1)), (m, _V("c", 0, 1))],
-                [(l1, _V("d", 0, 1)), (l2, _C(0)), (m, _V("e", 0, 1))],
-            )
-            if cfg is not None:
-                out.append(cfg)
-    return out
+            yield ("global/opposed-zeros", (("l1", l1), ("l2", l2)),
+                   [(l1, 0.0), (l2, _V("a", 0, 1)), (m, _V("c", 0, 1))],
+                   [(l1, _V("d", 0, 1)), (l2, 0.0), (m, _V("e", 0, 1))])
 
 
 def _max_m1_families(b, j, eps):
-    kind, sel = PartitionKind.MAX_VALUE, CellPair.BULK_BULK
     cap = 1.0 - eps
     special = b - 2
-    out = []
     for l1 in range(0, b + 1):
         for l2 in range(0, b + 1 - l1):
             # case 1: both sides carry a capped coordinate, opposed zeros next to it
             m = b - l1 - l2 - 2
             if m >= 0 and _admit((l1 + 1, l1), special, b, j) and _admit((l2 + 1, l2), special, b, j):
-                cfg = _build_config(
-                    b, j, kind, sel, eps,
-                    "max-m1/both-capped", (("l1", l1), ("l2", l2)),
-                    [(l1, _C(0)), (l2, _V("a", 0, cap)), (m, _V("c", 0, cap)), (1, _C(0)), (1, _C(cap))],
-                    [(l1, _V("d", 0, cap)), (l2, _C(0)), (m, _V("e", 0, cap)), (1, _C(cap)), (1, _C(0))],
-                )
-                if cfg is not None:
-                    out.append(cfg)
+                yield ("max-m1/both-capped", (("l1", l1), ("l2", l2)),
+                       [(l1, 0.0), (l2, _V("a", 0, cap)), (m, _V("c", 0, cap)), (1, 0.0), (1, cap)],
+                       [(l1, _V("d", 0, cap)), (l2, 0.0), (m, _V("e", 0, cap)), (1, cap), (1, 0.0)])
             # case 2: only q carries a capped coordinate
             m = b - l1 - l2 - 1
             if m >= 0 and _admit((l1 + 1, l1), special, b, j) and _admit((l2,), special, b, j):
-                cfg = _build_config(
-                    b, j, kind, sel, eps,
-                    "max-m1/one-capped", (("l1", l1), ("l2", l2)),
-                    [(l1, _C(0)), (l2, _V("a", 0, cap)), (m, _V("c", 0, cap)), (1, _C(0))],
-                    [(l1, _V("d", 0, cap)), (l2, _C(0)), (m, _V("e", 0, cap)), (1, _C(cap))],
-                )
-                if cfg is not None:
-                    out.append(cfg)
+                yield ("max-m1/one-capped", (("l1", l1), ("l2", l2)),
+                       [(l1, 0.0), (l2, _V("a", 0, cap)), (m, _V("c", 0, cap)), (1, 0.0)],
+                       [(l1, _V("d", 0, cap)), (l2, 0.0), (m, _V("e", 0, cap)), (1, cap)])
             # case 3: no capped coordinate on either side
             m = b - l1 - l2
             if _admit((l1,), special, b, j) and _admit((l2,), special, b, j):
-                cfg = _build_config(
-                    b, j, kind, sel, eps,
-                    "max-m1/uncapped", (("l1", l1), ("l2", l2)),
-                    [(l1, _C(0)), (l2, _V("a", 0, cap)), (m, _V("c", 0, cap))],
-                    [(l1, _V("d", 0, cap)), (l2, _C(0)), (m, _V("e", 0, cap))],
-                )
-                if cfg is not None:
-                    out.append(cfg)
-    return out
+                yield ("max-m1/uncapped", (("l1", l1), ("l2", l2)),
+                       [(l1, 0.0), (l2, _V("a", 0, cap)), (m, _V("c", 0, cap))],
+                       [(l1, _V("d", 0, cap)), (l2, 0.0), (m, _V("e", 0, cap))])
 
 
 def _max_m3_families(b, j, eps):
-    kind, sel = PartitionKind.MAX_VALUE, CellPair.TAGGED_SAME
     cap = 1.0 - eps
     special = b - 2
-    out = []
     for l1 in range(0, b):
         if not _admit((l1,), special, b, j):
             continue
@@ -374,45 +316,27 @@ def _max_m3_families(b, j, eps):
             if not _admit((l2,), special, b, j):
                 continue
             m = b - 1 - l1 - l2
-            cfg = _build_config(
-                b, j, kind, sel, eps,
-                "max-m3/shared-cap", (("l1", l1), ("l2", l2)),
-                [(1, _C(cap)), (l1, _C(0)), (l2, _V("a", 0, eps)), (m, _V("c", 0, eps))],
-                [(1, _C(cap)), (l1, _V("d", 0, eps)), (l2, _C(0)), (m, _V("e", 0, eps))],
-            )
-            if cfg is not None:
-                out.append(cfg)
-    return out
+            yield ("max-m3/shared-cap", (("l1", l1), ("l2", l2)),
+                   [(1, cap), (l1, 0.0), (l2, _V("a", 0, eps)), (m, _V("c", 0, eps))],
+                   [(1, cap), (l1, _V("d", 0, eps)), (l2, 0.0), (m, _V("e", 0, eps))])
 
 
 def _max_m4_families(b, j, eps):
-    kind, sel = PartitionKind.MAX_VALUE, CellPair.TAGGED_CROSS
     cap = 1.0 - eps
     special = b - 1
-    out = []
     # case 1: free cap levels on both sides, no interior zeros
-    cfg = _build_config(
-        b, j, kind, sel, eps,
-        "max-m4/plain", (),
-        [(1, _V("g", cap, 1)), (b - 2, _V("a", 0, 1)), (1, _C(0))],
-        [(1, _C(0)), (b - 2, _V("d", 0, 1)), (1, _V("z", cap, 1))],
-    )
-    if cfg is not None:
-        out.append(cfg)
+    yield ("max-m4/plain", (),
+           [(1, _V("g", cap, 1)), (b - 2, _V("a", 0, 1)), (1, 0.0)],
+           [(1, 0.0), (b - 2, _V("d", 0, 1)), (1, _V("z", cap, 1))])
     # case 2: zeros in p only; q's cap pinned to an endpoint
     for l1 in range(1, b - 1):
         if not _admit((l1 + 1, l1), special, b, j):
             continue
         m = b - l1 - 2
         for zeta in (cap, 1.0):
-            cfg = _build_config(
-                b, j, kind, sel, eps,
-                "max-m4/p-zeros", (("l1", l1), ("zeta", zeta)),
-                [(1, _V("g", cap, 1)), (l1, _C(0)), (m, _V("a", 0, 1)), (1, _C(0))],
-                [(1, _C(0)), (l1, _V("d", 0, 1)), (m, _V("e", 0, 1)), (1, _C(zeta))],
-            )
-            if cfg is not None:
-                out.append(cfg)
+            yield ("max-m4/p-zeros", (("l1", l1), ("zeta", zeta)),
+                   [(1, _V("g", cap, 1)), (l1, 0.0), (m, _V("a", 0, 1)), (1, 0.0)],
+                   [(1, 0.0), (l1, _V("d", 0, 1)), (m, _V("e", 0, 1)), (1, zeta)])
     # case 3: opposed zeros on both sides; both caps pinned to endpoints
     for l1 in range(1, b - 1):
         if not _admit((l1 + 1, l1), special, b, j):
@@ -421,115 +345,79 @@ def _max_m4_families(b, j, eps):
             if not _admit((l2 + 1, l2), special, b, j):
                 continue
             m = b - l1 - l2 - 2
-            for gamma in (cap, 1.0):
-                for zeta in (cap, 1.0):
-                    cfg = _build_config(
-                        b, j, kind, sel, eps,
-                        "max-m4/opposed-zeros",
-                        (("l1", l1), ("l2", l2), ("gamma", gamma), ("zeta", zeta)),
-                        [(1, _C(gamma)), (l1, _C(0)), (l2, _V("a", 0, 1)), (m, _V("c", 0, 1)), (1, _C(0))],
-                        [(1, _C(0)), (l1, _V("d", 0, 1)), (l2, _C(0)), (m, _V("e", 0, 1)), (1, _C(zeta))],
-                    )
-                    if cfg is not None:
-                        out.append(cfg)
-    return out
+            for gamma, zeta in itertools.product((cap, 1.0), repeat=2):
+                yield ("max-m4/opposed-zeros", (("l1", l1), ("l2", l2), ("gamma", gamma), ("zeta", zeta)),
+                       [(1, gamma), (l1, 0.0), (l2, _V("a", 0, 1)), (m, _V("c", 0, 1)), (1, 0.0)],
+                       [(1, 0.0), (l1, _V("d", 0, 1)), (l2, 0.0), (m, _V("e", 0, 1)), (1, zeta)])
 
 
 def _min_m1_families(b, j, eps):
-    kind, sel = PartitionKind.MIN_VALUE, CellPair.BULK_BULK
-    out = []
     for l1 in range(0, b + 1):
         for l2 in range(0, b + 1 - l1):
             m = b - l1 - l2
-            cfg = _build_config(
-                b, j, kind, sel, eps,
-                "min-m1/floor-blocks", (("l1", l1), ("l2", l2)),
-                [(l1, _C(eps)), (l2, _V("a", eps, 1)), (m, _V("c", eps, 1))],
-                [(l1, _V("d", eps, 1)), (l2, _C(eps)), (m, _V("e", eps, 1))],
-            )
-            if cfg is not None:
-                out.append(cfg)
-    return out
+            yield ("min-m1/floor-blocks", (("l1", l1), ("l2", l2)),
+                   [(l1, eps), (l2, _V("a", eps, 1)), (m, _V("c", eps, 1))],
+                   [(l1, _V("d", eps, 1)), (l2, eps), (m, _V("e", eps, 1))])
 
 
 def _min_m2_families(b, j, eps):
-    kind, sel = PartitionKind.MIN_VALUE, CellPair.BULK_TAGGED
     special = b - 1
-    out = []
     # case 1: p small on the block facing q's raised block
     for l1 in range(1, b + 1):
-        m = b - l1
-        cfg = _build_config(
-            b, j, kind, sel, eps,
-            "min-m2/avg-small", (("l1", l1),),
-            [(l1, _V("a", 0, eps)), (m, _V("c", 0, 1))],
-            [(l1, _V("e", eps, 1)), (m, _C(eps))],
-        )
-        if cfg is not None:
-            out.append(cfg)
+        yield ("min-m2/avg-small", (("l1", l1),),
+               [(l1, _V("a", 0, eps)), (b - l1, _V("c", 0, 1))],
+               [(l1, _V("e", eps, 1)), (b - l1, eps)])
     # case 2: p pinned at eps on the lead coordinate
     for l1 in range(0, b):
         m = b - l1 - 1
-        cfg = _build_config(
-            b, j, kind, sel, eps,
-            "min-m2/lead-eps", (("l1", l1),),
-            [(1, _C(eps)), (l1, _V("a", 0, 1)), (m, _V("c", 0, 1))],
-            [(1, _V("z", eps, 1)), (l1, _V("e", eps, 1)), (m, _C(eps))],
-        )
-        if cfg is not None:
-            out.append(cfg)
+        yield ("min-m2/lead-eps", (("l1", l1),),
+               [(1, eps), (l1, _V("a", 0, 1)), (m, _V("c", 0, 1))],
+               [(1, _V("z", eps, 1)), (l1, _V("e", eps, 1)), (m, eps)])
     # case 3: p carries zeros
     for l1 in range(1, b + 1):
         if not _admit((l1,), special, b, j):
             continue
         for l2 in range(0, b + 1 - l1):
             m = b - l1 - l2
-            cfg = _build_config(
-                b, j, kind, sel, eps,
-                "min-m2/p-zeros", (("l1", l1), ("l2", l2)),
-                [(l1, _C(0)), (l2, _V("a", 0, 1)), (m, _V("c", 0, 1))],
-                [(l1, _V("d", eps, 1)), (l2, _V("e", eps, 1)), (m, _C(eps))],
-            )
-            if cfg is not None:
-                out.append(cfg)
-    return out
+            yield ("min-m2/p-zeros", (("l1", l1), ("l2", l2)),
+                   [(l1, 0.0), (l2, _V("a", 0, 1)), (m, _V("c", 0, 1))],
+                   [(l1, _V("d", eps, 1)), (l2, _V("e", eps, 1)), (m, eps)])
 
 
 def _min_m3_families(b, j, eps):
-    kind, sel = PartitionKind.MIN_VALUE, CellPair.TAGGED_SAME
     special = b - 1
-    out = []
     for l1 in range(0, b + 1):
         if not _admit((l1,), special, b, j):
             continue
         for l2 in range(0, b + 1 - l1):
             # case 1: lead coordinates folded into the sub-eps tail blocks
-            if b - l1 - l2 >= 1 and _admit((l2,), special, b, j):
-                mm = b - l1 - l2
-                cfg = _build_config(
-                    b, j, kind, sel, eps,
-                    "min-m3/folded", (("l1", l1), ("l2", l2)),
-                    [(l1, _C(0)), (l2, _V("a", 0, 1)), (mm, _V("c", 0, eps))],
-                    [(l1, _V("d", 0, 1)), (l2, _C(0)), (mm, _V("e", 0, eps))],
-                )
-                if cfg is not None:
-                    out.append(cfg)
+            mm = b - l1 - l2
+            if mm >= 1 and _admit((l2,), special, b, j):
+                yield ("min-m3/folded", (("l1", l1), ("l2", l2)),
+                       [(l1, 0.0), (l2, _V("a", 0, 1)), (mm, _V("c", 0, eps))],
+                       [(l1, _V("d", 0, 1)), (l2, 0.0), (mm, _V("e", 0, eps))])
             # cases 2 and 3: free lead on p, q lead pinned at 0 or eps
-            m = b - l1 - l2 - 1
+            m = mm - 1
             if m < 0:
                 continue
             for q1, tag, zq in ((0.0, "min-m3/q-lead-zero", (l2 + 1, l2)), (eps, "min-m3/q-lead-eps", (l2,))):
-                if not _admit(zq, special, b, j):
-                    continue
-                cfg = _build_config(
-                    b, j, kind, sel, eps,
-                    tag, (("l1", l1), ("l2", l2), ("q1", q1)),
-                    [(1, _V("g", 0, eps)), (l1, _C(0)), (l2, _V("a", 0, 1)), (m, _V("c", 0, 1))],
-                    [(1, _C(q1)), (l1, _V("d", 0, 1)), (l2, _C(0)), (m, _V("e", 0, 1))],
-                )
-                if cfg is not None:
-                    out.append(cfg)
-    return out
+                if _admit(zq, special, b, j):
+                    yield (tag, (("l1", l1), ("l2", l2), ("q1", q1)),
+                           [(1, _V("g", 0, eps)), (l1, 0.0), (l2, _V("a", 0, 1)), (m, _V("c", 0, 1))],
+                           [(1, q1), (l1, _V("d", 0, 1)), (l2, 0.0), (m, _V("e", 0, 1))])
+
+
+#: the family generator of every (partition kind, cell pair)
+_FAMILIES = {
+    (PartitionKind.MAX_VALUE, CellPair.BULK_BULK): _max_m1_families,
+    (PartitionKind.MAX_VALUE, CellPair.BULK_TAGGED): _global_max_families,
+    (PartitionKind.MAX_VALUE, CellPair.TAGGED_SAME): _max_m3_families,
+    (PartitionKind.MAX_VALUE, CellPair.TAGGED_CROSS): _max_m4_families,
+    (PartitionKind.MIN_VALUE, CellPair.BULK_BULK): _min_m1_families,
+    (PartitionKind.MIN_VALUE, CellPair.BULK_TAGGED): _min_m2_families,
+    (PartitionKind.MIN_VALUE, CellPair.TAGGED_SAME): _min_m3_families,
+    (PartitionKind.MIN_VALUE, CellPair.TAGGED_CROSS): _global_max_families,
+}
 
 
 def enumerate_candidates(
@@ -544,28 +432,9 @@ def enumerate_candidates(
     means every family was vacuous, which callers should treat as an error.
     """
     spec.validate(b, j)
-    eps = float(spec.eps)
-    if spec.kind is PartitionKind.MAX_VALUE:
-        table = {
-            CellPair.BULK_BULK: _max_m1_families,
-            CellPair.BULK_TAGGED: lambda b, j, e: _global_max_families(
-                b, j, PartitionKind.MAX_VALUE, CellPair.BULK_TAGGED, e
-            ),
-            CellPair.TAGGED_SAME: _max_m3_families,
-            CellPair.TAGGED_CROSS: _max_m4_families,
-        }
-    else:
-        table = {
-            CellPair.BULK_BULK: _min_m1_families,
-            CellPair.BULK_TAGGED: _min_m2_families,
-            CellPair.TAGGED_SAME: _min_m3_families,
-            CellPair.TAGGED_CROSS: lambda b, j, e: _global_max_families(
-                b, j, PartitionKind.MIN_VALUE, CellPair.TAGGED_CROSS, e
-            ),
-        }
-    return table[which](b, j, eps)
+    return _configs(b, j, _FAMILIES[(spec.kind, which)](b, j, float(spec.eps)))
 
 
 def global_candidates(b: int, j: int) -> list[Configuration]:
     """Configurations covering the unconstrained maximum of the polynomial."""
-    return _global_max_families(b, j, PartitionKind.MAX_VALUE, CellPair.BULK_TAGGED, 0.0)
+    return _configs(b, j, _global_max_families(b, j))

@@ -10,16 +10,17 @@ bounds it too, with an overestimate that shrinks quadratically with the box
 width where the corner bound's shrinks linearly.
 
 Every configuration's box is cut once, into a uniform lattice of parts
-(``_lattice``), and that lattice does three jobs.  Each part is bounded by
-the smaller of the two forms, and the largest part bound (the root bound)
-orders the configurations: ``compute_cell_max`` and ``global_form_max``
-maximize them in descending order of it and stop at the first one whose
-bound lies strictly below the incumbent, since neither it nor any
-configuration after it can reach the maximum.  The winner is the same as a
-search of every configuration would give: highest value, ties broken by the
-smallest ``Configuration.describe()``.  The admitted part centres seed a
-deterministic shrinking local search that polishes the best few of them down
-to step 1e-12.
+(``_lattice``), each bounded by the smaller of the two forms.  The largest
+part bound (the root bound) orders the configurations: ``compute_cell_max``
+and ``global_form_max`` maximize them in descending order of it and stop at
+the first one whose bound lies strictly below the incumbent, since neither it
+nor any configuration after it can reach the maximum.  The winner is the same
+as a search of every configuration would give: highest value, ties broken by
+the smallest ``Configuration.describe()``.  ``maximize_config`` evaluates the
+part centres of each configuration it is handed, once, and polishes the best
+few admitted ones by a deterministic shrinking local search down to step
+1e-12.  A configuration whose bound lies above the maximum but whose lattice
+admits no centre is listed in ``CellMaxResult.unsearched``.
 
 Certification is optional.  The certified mode of ``compute_cell_max`` runs a
 small branch-and-bound per configuration whose root bound is finite, starting
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configs import (
+    _FEAS_TOL,
     CellPair,
     Configuration,
     PartitionSpec,
@@ -57,8 +59,8 @@ _ZOOM_POINTS = {1: 17, 2: 7, 3: 5}
 _SEED_COUNT = 6
 
 #: a configuration's lattice (``_lattice``): the low and the high corners of
-#: its parts, each part's bound, and the value at each admitted part centre
-Lattice = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: its parts and each part's bound
+Lattice = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class BudgetExceeded(RuntimeError):
@@ -102,7 +104,10 @@ class CellMaxResult:
     ``cert_tol`` times |value| unless a box narrower than 1e-12 or the node
     cap stopped the search; it is 0 when certification is off.
     ``certify_capped`` is True when the branch-and-bound of some configuration
-    stopped at its node cap.
+    stopped at its node cap.  ``unsearched`` lists the configurations whose
+    root bound lies above ``value`` but whose lattice admits no centre to
+    seed the local search from: the certified slack covers them, the
+    uncertified value may not.
     """
 
     selector: CellPair
@@ -115,6 +120,7 @@ class CellMaxResult:
     certified_excess: float = 0.0
     vacuous_families: tuple[str, ...] = ()
     certify_capped: bool = False
+    unsearched: tuple[str, ...] = ()
 
 
 def _evaluate(config: Configuration, X: np.ndarray) -> np.ndarray:
@@ -128,18 +134,17 @@ def _evaluate(config: Configuration, X: np.ndarray) -> np.ndarray:
 
 
 def _pick_seeds(X: np.ndarray, vals: np.ndarray, cell: np.ndarray, count: int) -> np.ndarray:
-    order = np.argsort(vals)[::-1]
-    seeds: list[np.ndarray] = []
-    min_sep = 2.0 * cell
-    for i in order:
+    """Indices of up to ``count`` points of X with finite values, best first,
+    each more than two cells away from every earlier pick along some axis."""
+    seeds: list[int] = []
+    for i in np.argsort(vals)[::-1]:
         if not np.isfinite(vals[i]):
             break
-        x = X[i]
-        if all(np.any(np.abs(x - s) > min_sep) for s in seeds) or not seeds:
-            seeds.append(x)
+        if all(np.any(np.abs(X[i] - X[s]) > 2.0 * cell) for s in seeds):
+            seeds.append(i)
             if len(seeds) >= count:
                 break
-    return np.array(seeds) if seeds else np.empty((0, X.shape[1]))
+    return np.array(seeds, dtype=int)
 
 
 def maximize_config(
@@ -147,25 +152,27 @@ def maximize_config(
 ) -> ConfigMax | None:
     """Maximum of the polynomial over the configuration's box.
 
-    Deterministic coordinate-window shrinking around the best few separated
-    admitted centres of the configuration's lattice (``_lattice``; built here
-    when not given) until the window drops below 1e-12.  A window point that
-    leaves a block's band is moved back onto it along the block's
-    coefficients, so the search can slide along a band edge that runs
-    obliquely to the axes.  Returns None when no lattice centre is admitted,
-    which a vacuous configuration guarantees.
+    Evaluates the part centres of the configuration's lattice (``_lattice``;
+    built here when not given) once, then shrinks a coordinate window around
+    the best few separated admitted centres until the window drops below
+    1e-12.  A window point that leaves a block's band is moved back onto it
+    along the block's coefficients, so the search can slide along a band
+    edge that runs obliquely to the axes.  Returns None when no lattice
+    centre is admitted, which a vacuous configuration guarantees.
     """
-    los, his, _bounds, values = _lattice(config) if lattice is None else lattice
+    los, his, _bounds = _lattice(config) if lattice is None else lattice
+    centers = 0.5 * (los + his)
+    values = _evaluate(config, centers)
     if not np.isfinite(values).any():
         return None
     d = config.dim
     if d == 0:
-        x, val = los[0], float(values[0])
+        x, val = centers[0], float(values[0])
     else:
         lo, hi = _root_box(config)
         cell = his[0] - los[0]
-        centers = _pick_seeds(0.5 * (los + his), values, cell, _SEED_COUNT)
-        best_vals = _evaluate(config, centers)
+        seeds = _pick_seeds(centers, values, cell, _SEED_COUNT)
+        centers, best_vals = centers[seeds], values[seeds]
         bands = [(np.bincount([i for i, _ in blk.coeffs], [a for _, a in blk.coeffs], d),
                   blk.const, blk.lo, blk.hi)
                  for blk in config.blocks_p + config.blocks_q if blk.coeffs]
@@ -212,7 +219,6 @@ def maximize_config(
 # ---------------------------------------------------------------------------
 
 
-_FEAS_PAD = 1e-12
 _ROOT_SPLITS = {0: 1, 1: 32, 2: 16, 3: 6}  # parts per axis of a configuration's lattice, by dimension
 
 
@@ -249,18 +255,20 @@ def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) 
 
     For each block the value range over a cell follows from interval
     arithmetic on its affine expression; a block range disjoint from the
-    block's admissible band, padded by ``_FEAS_PAD``, makes the whole cell
-    infeasible.  Otherwise the polynomial at the coordinate-wise maxima,
-    clipped to the padded band, dominates every point of the cell that
-    ``Configuration.assemble`` admits.
+    block's admissible band, padded by the tolerance ``assemble`` admits
+    (``configs._FEAS_TOL``), makes the whole cell infeasible.  Otherwise the
+    polynomial at the coordinate-wise maxima, clipped to the padded band,
+    dominates every point of the cell that ``Configuration.assemble``
+    admits.  The pad must be at least that tolerance, so both read the one
+    constant.
     """
     n = los.shape[0]
     feas = np.ones(n, dtype=bool)
     cols = []
     for blocks in (config.blocks_p, config.blocks_q):
         vlo, vhi = _block_ranges(blocks, los, his)
-        band_lo = np.array([blk.lo for blk in blocks]) - _FEAS_PAD
-        band_hi = np.array([blk.hi for blk in blocks]) + _FEAS_PAD
+        band_lo = np.array([blk.lo for blk in blocks]) - _FEAS_TOL
+        band_hi = np.array([blk.hi for blk in blocks]) + _FEAS_TOL
         feas &= ((vhi >= band_lo) & (vlo <= band_hi)).all(axis=1)
         top = np.maximum(np.minimum(vhi, band_hi), 0.0)
         cols.append(np.repeat(top, _mults(blocks), axis=1))
@@ -388,10 +396,9 @@ def _lattice(config: Configuration) -> Lattice:
     bound in one batch, the parts that bound leaves finite also the centred
     form, and each part keeps the smaller of the two.  Both bounds dominate
     every point ``Configuration.assemble`` admits in their part, rounding
-    included.  Returns the parts' low and high corners, their bounds (-inf
-    for provably infeasible parts) and the value at each part centre,
-    -inf where ``assemble`` does not admit it.  A 0-dimensional configuration
-    is one part, its point, bounded by its corner bound.
+    included.  Returns the parts' low and high corners and their bounds
+    (-inf for provably infeasible parts).  A 0-dimensional configuration is
+    one part, its point, bounded by its corner bound.
     """
     lo, hi = _root_box(config)
     k = _ROOT_SPLITS[config.dim]
@@ -406,13 +413,7 @@ def _lattice(config: Configuration) -> Lattice:
     live = np.nonzero(np.isfinite(bounds))[0]
     if config.dim and live.size:
         bounds[live] = np.minimum(bounds[live], _centred_bounds_batch(config, los[live], his[live]))
-    return los, his, bounds, _evaluate(config, 0.5 * (los + his))
-
-
-def _root_bound(config: Configuration) -> float:
-    """Upper bound on the configuration's whole box, -inf when provably
-    infeasible: the largest part bound of its lattice."""
-    return float(_lattice(config)[2].max())
+    return los, his, bounds
 
 
 def _certified_supremum(
@@ -442,7 +443,7 @@ def _certified_supremum(
     cap was hit or a box too narrow to split had a larger bound.  Also
     returns whether the node cap was hit.
     """
-    los0, his0, bounds0, _values = lattice
+    los0, his0, bounds0 = lattice
     if config.dim == 0:  # the bound of a point is its value
         return max(lower, float(bounds0[0])), False
     # largest bound of a box left unsplit
@@ -499,7 +500,8 @@ def _certified_supremum(
 
 def _best_config(
     configs: list[Configuration], *, budget: Budget, what: str
-) -> tuple[ConfigMax | None, Configuration | None, list[tuple[Configuration, Lattice]], list[str]]:
+) -> tuple[ConfigMax | None, Configuration | None, list[tuple[Configuration, Lattice]], list[str],
+           list[str]]:
     """Maximize the configurations that their root bound does not prove dominated.
 
     Every configuration's box is cut into its lattice (``_lattice``) once;
@@ -509,17 +511,20 @@ def _best_config(
     configuration from there on can reach it.  Returns the winner (highest
     value, ties to the smallest ``describe()``) with its configuration, the
     (configuration, lattice) of every configuration examined with a finite
-    root bound, those whose lattice seeded no search included, and the
+    root bound, those whose lattice seeded no search included, the
     ``describe()`` of every configuration examined whose root bound is -inf,
-    which proves it has no feasible point.  Configurations skipped as
-    dominated are not examined further.
+    which proves it has no feasible point, and the ``describe()`` of every
+    configuration whose lattice seeded no search although its root bound
+    lies above the winner's value.  Configurations skipped as dominated are
+    not examined further.
     """
     lattices = [_lattice(cfg) for cfg in configs]
-    roots = [float(bounds.max()) for _los, _his, bounds, _values in lattices]
+    roots = [float(bounds.max()) for _los, _his, bounds in lattices]
     best: ConfigMax | None = None
     best_cfg: Configuration | None = None
     examined: list[tuple[Configuration, Lattice]] = []
     vacuous: list[str] = []
+    unseeded: list[tuple[float, str]] = []
     for i in sorted(range(len(configs)), key=lambda i: -roots[i]):
         cfg, root = configs[i], roots[i]
         if best is not None and root < best.value:
@@ -530,11 +535,14 @@ def _best_config(
             continue
         examined.append((cfg, lattices[i]))
         res = maximize_config(cfg, lattices[i], budget=budget)
-        if res is not None and (best is None or res.value > best.value or (
+        if res is None:
+            unseeded.append((root, cfg.describe()))
+        elif best is None or res.value > best.value or (
             res.value == best.value and cfg.describe() < best_cfg.describe()
-        )):
+        ):
             best, best_cfg = res, cfg
-    return best, best_cfg, examined, vacuous
+    unsearched = [tag for root, tag in unseeded if best is None or root > best.value]
+    return best, best_cfg, examined, vacuous, unsearched
 
 
 def compute_cell_max(
@@ -554,12 +562,13 @@ def compute_cell_max(
     (``_certified_supremum``), whether or not its lattice seeded a search.
     ``vacuous_families`` lists the configurations whose root bound proves
     they have no feasible point; configurations skipped as dominated are not
-    among them.
+    among them.  ``unsearched`` lists those whose root bound lies above the
+    maximum but whose lattice seeded no search.
     """
     candidates = enumerate_candidates(spec, which, b, j)
     if not candidates:
         raise ValueError(f"no candidate configurations for {which} at (b={b}, j={j})")
-    best, best_cfg, examined, vacuous = _best_config(
+    best, best_cfg, examined, vacuous, unsearched = _best_config(
         candidates, budget=budget, what=f"{which.label} enumeration"
     )
     if best is None:
@@ -591,6 +600,7 @@ def compute_cell_max(
         certified_excess=excess,
         vacuous_families=tuple(vacuous),
         certify_capped=capped,
+        unsearched=tuple(unsearched),
     )
 
 
@@ -610,7 +620,7 @@ def compute_all_cell_maxima(
 
 def global_form_max(b: int, j: int, *, budget: Budget = NO_BUDGET) -> ConfigMax:
     """Unconstrained maximum of the order-j polynomial over simplex pairs."""
-    best, _cfg, _examined, _vacuous = _best_config(
+    best, *_ = _best_config(
         global_candidates(b, j), budget=budget, what="global max"
     )
     if best is None:

@@ -8,11 +8,12 @@ oracle evaluates the separation polynomial exactly in ``Fraction``, the cell
 predicates test one vector at a time where the sampler masks whole batches,
 the rejection reference keeps uniform simplex draws where the sampler
 constructs cell members directly, and the hash-code checker compares symbol
-bitmasks where the engine compares symbol sets.  Two exceptions:
+bitmasks where the engine compares symbol sets.  Three exceptions:
 ``sep_by_full_generating_pass`` repeats ``sep_batch``'s arithmetic on
 purpose, without its row restriction, so that a test can require the two to
-agree bit for bit; and ``dense_scan_max``, a reference for the optimizer's
-search rather than for the evaluator, evaluates with ``sep_batch``.
+agree bit for bit; ``dense_scan_max``, a reference for the optimizer's
+search rather than for the evaluator, evaluates with ``sep_batch``; and
+``root_bound`` reads the optimizer's own lattice bounds.
 """
 
 import itertools
@@ -24,6 +25,7 @@ from itertools import permutations
 import numpy as np
 
 from hashbound.configs import Configuration, PartitionKind, PartitionSpec
+from hashbound.optimize import _lattice
 from hashbound.reporting import round_up_str
 from hashbound.seppoly import sep_batch
 
@@ -334,3 +336,9 @@ def dense_scan_max(config: Configuration, grid: int = 400) -> float:
     if not feas.any():
         return -np.inf
     return float(sep_batch(P[feas], Q[feas], config.j).max())
+
+
+def root_bound(config: Configuration) -> float:
+    """Upper bound on the configuration's whole box, -inf when provably
+    infeasible: the largest part bound of its lattice."""
+    return float(_lattice(config)[2].max())

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,27 @@ def test_assemble_feasibility_mask():
     _, _, bad = cfg.assemble((hi + 10.0).reshape(1, -1))
     assert not bad[0]
     assert ok[0] or True  # midpoints can be infeasible; the mask just must act
+
+
+def test_enumeration_is_pinned():
+    """Every configuration of a fixed set of cells, in enumeration order, is
+    unchanged: the 12 presets and the two eps-sweep cells off their presets
+    under all four selectors, two small cells, and the global families of
+    every Table 1 row.  A refactor of the family generators must keep this
+    digest; a deliberate change of the families must update it."""
+    from hashbound import presets
+
+    cells = [(pre.spec(), b, pre.j) for (b, _k), pre in sorted(presets.PARTITION_PRESETS.items())]
+    cells += [(PartitionSpec(PartitionKind.MIN_VALUE, 0.047), 6, 3),
+              (PartitionSpec(PartitionKind.MAX_VALUE, 0.093), 7, 5),
+              (PartitionSpec(PartitionKind.MIN_VALUE, 0.2), 3, 2),
+              (PartitionSpec(PartitionKind.MAX_VALUE, 0.3), 4, 2)]
+    cfgs = [cfg for spec, b, j in cells for which in CellPair
+            for cfg in enumerate_candidates(spec, which, b, j)]
+    cfgs += [cfg for row in presets.TABLE1 for cfg in global_candidates(row.b, row.k - 2)]
+    digest = hashlib.sha256()
+    for cfg in cfgs:
+        digest.update(repr((cfg.b, cfg.j, cfg.describe(), cfg.blocks_p, cfg.blocks_q,
+                            cfg.free)).encode())
+    assert len(cfgs) == 3773
+    assert digest.hexdigest() == "51c55c365bc60dfb70d470b05101176debf5a97b89a10293a3cf987ffd769507"

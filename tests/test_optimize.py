@@ -3,6 +3,7 @@ import pytest
 
 from hashbound import optimize
 from hashbound.configs import (
+    _FEAS_TOL as _FEAS_PAD,
     Block,
     CellPair,
     Configuration,
@@ -13,7 +14,6 @@ from hashbound.configs import (
     global_candidates,
 )
 from hashbound.optimize import (
-    _FEAS_PAD,
     Budget,
     BudgetExceeded,
     _block_ranges,
@@ -21,7 +21,6 @@ from hashbound.optimize import (
     _centred_bounds_batch,
     _certified_supremum,
     _lattice,
-    _root_bound,
     _root_box,
     compute_all_cell_maxima,
     compute_cell_max,
@@ -30,7 +29,7 @@ from hashbound.optimize import (
 )
 from hashbound.seppoly import sep_batch, sep_uniform_exact, SepParams
 
-from helpers import dense_scan_max
+from helpers import dense_scan_max, root_bound
 
 
 def test_zero_dim_config_is_exact():
@@ -166,8 +165,7 @@ def _swinging_configuration(rng):
         )
 
     return Configuration(
-        b=b, j=int(rng.integers(2, b)), kind=PartitionKind.MAX_VALUE,
-        selector=CellPair.BULK_BULK, eps=0.1, family="test/swing", discrete=(),
+        b=b, j=int(rng.integers(2, b)), family="test/swing", discrete=(),
         blocks_p=side(), blocks_q=side(), free=tuple(FreeVar(f"x{k}", 0.0, 1.0) for k in range(d)),
     )
 
@@ -267,7 +265,7 @@ def test_root_bound_pruning_matches_brute_force(monkeypatch, kind, eps, b, j, wh
         got = compute_cell_max(spec, which, b, j)
         got_tag = got.config_tag
     assert (got.value, got_tag, got.p, got.q) == (best.value, best_tag, best.p, best.q)
-    feasible = {cfg.describe() for cfg in cfgs if np.isfinite(_root_bound(cfg))}
+    feasible = {cfg.describe() for cfg in cfgs if np.isfinite(root_bound(cfg))}
     assert feasible - {tag for tag, _res in maximized}, "no configuration was skipped"
 
 
@@ -293,7 +291,7 @@ def test_split_root_bound_between_maximum_and_corner_bound():
     for cfg in _preset_and_sweep_configurations():
         lo, hi = _root_box(cfg)
         corner = _cell_bounds_batch(cfg, lo[None, :], hi[None, :])[0]
-        split = _root_bound(cfg)
+        split = root_bound(cfg)
         assert split <= corner, cfg.describe()
         res = maximize_config(cfg)
         if res is not None:
@@ -317,22 +315,23 @@ def test_lattice_seeds_reach_dense_scan_maximum():
     assert checked >= 400
 
 
+def _band_configuration(family, a_lo, a_hi, b=3):
+    """j = 2: every coordinate of p at level a in [a_lo, a_hi], q uniform."""
+    return Configuration(
+        b=b, j=2, family=family, discrete=(),
+        blocks_p=(Block(b, 0.0, ((0, 1.0),), a_lo, a_hi),),
+        blocks_q=(Block(b, 1 / b, (), 1 / b, 1 / b),),
+        free=(FreeVar("a", 0.0, 1.0),),
+    )
+
+
 def test_certified_value_covers_configuration_without_admitted_seed(monkeypatch):
     # a 1-D band of width 1e-4 holds no centre of its configuration's lattice
     # (nor a point of a dense grid), so the local search has nowhere to start;
     # its root bound is finite, and the certified value must still cover it
-    def config(family, a_lo, a_hi):
-        return Configuration(
-            b=3, j=2, kind=PartitionKind.MAX_VALUE, selector=CellPair.BULK_BULK, eps=0.1,
-            family=family, discrete=(),
-            blocks_p=(Block(3, 0.0, ((0, 1.0),), a_lo, a_hi),),
-            blocks_q=(Block(3, 1 / 3, (), 1 / 3, 1 / 3),),
-            free=(FreeVar("a", 0.0, 1.0),),
-        )
-
-    ordinary = config("test/ordinary", 0.0, 0.3)
-    sliver = config("test/sliver", 0.3001, 0.3002)
-    assert maximize_config(sliver) is None and np.isfinite(_root_bound(sliver))
+    ordinary = _band_configuration("test/ordinary", 0.0, 0.3)
+    sliver = _band_configuration("test/sliver", 0.3001, 0.3002)
+    assert maximize_config(sliver) is None and np.isfinite(root_bound(sliver))
     P, Q, feas = sliver.assemble(np.linspace(0.3001, 0.3002, 101)[:, None])
     sliver_max = sep_batch(P[feas], Q[feas], sliver.j).max()
 
@@ -343,6 +342,29 @@ def test_certified_value_covers_configuration_without_admitted_seed(monkeypatch)
     assert res.value < sliver_max
     assert res.value + res.certified_excess >= sliver_max
     assert res.vacuous_families == ()
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_unsearched_configuration_is_flagged_when_uncertified(monkeypatch, certify):
+    # the sliver's root bound lies above the reported value, yet nothing
+    # searched it: an uncertified bound must say so; a certified one covers it
+    from hashbound.combiner import full_bound
+
+    ordinary = _band_configuration("test/ordinary", 0.0, 0.3, b=4)
+    sliver = _band_configuration("test/sliver", 0.3001, 0.3002, b=4)
+    real = optimize.enumerate_candidates
+
+    def candidates(spec, which, b, j):
+        return [ordinary, sliver] if which is CellPair.BULK_BULK else real(spec, which, b, j)
+
+    monkeypatch.setattr(optimize, "enumerate_candidates", candidates)
+    spec = PartitionSpec(PartitionKind.MAX_VALUE, 0.1)
+    res = compute_cell_max(spec, CellPair.BULK_BULK, 4, 2, certify=certify)
+    assert res.unsearched == ("test/sliver",)
+    rep = full_bound(4, 4, 2, spec, certify=certify)
+    flagged = [f for f in rep.flags if f.endswith(":unsearched-configuration")]
+    assert flagged == ([] if certify else ["m1:unsearched-configuration"])
+    assert all("unsearched" not in key for cell in rep.cell_values.values() for key in cell)
 
 
 def test_certified_supremum_keeps_slack_of_dropped_boxes():
@@ -366,8 +388,7 @@ def test_cell_bound_covers_padded_block_values():
     hi = 0.5
     x = hi + 0.5 * _FEAS_PAD
     cfg = Configuration(
-        b=3, j=2, kind=PartitionKind.MAX_VALUE, selector=CellPair.BULK_BULK, eps=0.1,
-        family="test/padded", discrete=(),
+        b=3, j=2, family="test/padded", discrete=(),
         blocks_p=(Block(1, 0.0, ((0, 1.0),), 0.0, hi), Block(2, 0.25, (), 0.25, 0.25)),
         blocks_q=(Block(3, 1 / 3, (), 1 / 3, 1 / 3),),
         free=(FreeVar("a", 0.0, x),),
