@@ -12,11 +12,17 @@ All logs are base 2.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 LOG2 = math.log2
+
+#: absolute tolerance of ``balanced_fixed_point``'s bisection
+_FIXED_POINT_TOL = 1e-10
+#: grid points on which ``balanced_fixed_point`` checks F nonincreasing
+_MONOTONE_PROBES = 64
 
 
 class InvalidParams(ValueError):
@@ -150,15 +156,13 @@ def balanced_fixed_point(
     b: int,
     k: int,
     F: Callable[[float], float],
-    *,
-    tol: float = 1e-10,
-    probes: int = 64,
 ) -> float:
     """sup{ R : R <= c F(R) } with c = (b-2)^(k-3 falling)/b^(k-3), by bisection.
 
     F must be continuous and nonincreasing on [0, log2 b]; this is verified on
-    a probe grid and violations are reported via NonMonotoneF rather than
-    silently accepted.  The fixed point is located to absolute tolerance tol.
+    a grid of ``_MONOTONE_PROBES`` points and violations are reported via
+    NonMonotoneF rather than silently accepted.  The fixed point is located
+    to absolute tolerance ``_FIXED_POINT_TOL``.
     """
     if b < k or k < 4:
         raise InvalidParams(f"balanced_fixed_point needs b >= k >= 4, got ({b},{k})")
@@ -166,7 +170,7 @@ def balanced_fixed_point(
     if c <= 0:
         raise InvalidParams(f"degenerate combination factor c={c}")
     hi_cap = LOG2(b)
-    grid = [hi_cap * t / (probes - 1) for t in range(probes)]
+    grid = [hi_cap * t / (_MONOTONE_PROBES - 1) for t in range(_MONOTONE_PROBES)]
     vals = [F(r) for r in grid]
     for a, z in zip(vals, vals[1:]):
         if z > a + 1e-12:
@@ -179,7 +183,7 @@ def balanced_fixed_point(
     if g(hi_cap) >= 0:
         return hi_cap
     hi = hi_cap
-    while hi - lo > tol:
+    while hi - lo > _FIXED_POINT_TOL:
         mid = 0.5 * (lo + hi)
         if g(mid) >= 0:
             lo = mid
@@ -252,8 +256,6 @@ def load_tabulated_f(path) -> Callable[[float], float]:
             return ds[0]
         if rate >= rs[-1]:
             return ds[-1]
-        import bisect
-
         i = bisect.bisect_right(rs, rate) - 1
         t = (rate - rs[i]) / (rs[i + 1] - rs[i])
         return ds[i] + t * (ds[i + 1] - ds[i])

@@ -33,11 +33,12 @@ Conventions used by every family below:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,11 +114,18 @@ class Block:
     lo: float
     hi: float
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        out = np.full(x.shape[0], self.const)
-        for idx, coef in self.coeffs:
-            out += coef * x[:, idx]
-        return out
+
+class BlockArrays(NamedTuple):
+    """A configuration's blocks as arrays, p blocks first: block i takes the
+    value const[i] + coef[i] . x (coef is dense, zero where ``Block.coeffs``
+    names no variable), must stay in [lo[i], hi[i]] and fills mult[i]
+    coordinates."""
+
+    const: np.ndarray
+    coef: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    mult: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -140,20 +148,52 @@ class Configuration:
     def dim(self) -> int:
         return len(self.free)
 
+    @functools.cached_property
+    def arrays(self) -> BlockArrays:
+        blocks = self.blocks_p + self.blocks_q
+        coef = np.zeros((len(blocks), self.dim))
+        for row, blk in enumerate(blocks):
+            for idx, c in blk.coeffs:
+                coef[row, idx] = c
+        return BlockArrays(np.array([blk.const for blk in blocks]), coef,
+                           np.array([blk.lo for blk in blocks]), np.array([blk.hi for blk in blocks]),
+                           np.array([blk.mult for blk in blocks]))
+
+    def block_values(self, X: np.ndarray) -> np.ndarray:
+        """Every block's value at each row of X (N, dim), shape (N, blocks):
+        const, then coef * x added one free variable at a time in index order."""
+        A = self.arrays
+        V = np.tile(A.const, (X.shape[0], 1))
+        for k in range(self.dim):
+            V += A.coef[:, k] * X[:, k, None]
+        return V
+
+    def block_ranges(self, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Range of every block value over each box [los, his], shape (n, blocks)
+        twice: interval arithmetic adding the terms of ``block_values`` in its
+        order, so by monotone rounding each end is that routine's value at a
+        corner of the box, and a point box gets its block values exactly."""
+        A = self.arrays
+        vlo = np.tile(A.const, (los.shape[0], 1))
+        vhi = vlo.copy()
+        for k in range(self.dim):
+            at_lo, at_hi = A.coef[:, k] * los[:, k, None], A.coef[:, k] * his[:, k, None]
+            vlo += np.minimum(at_lo, at_hi)
+            vhi += np.maximum(at_lo, at_hi)
+        return vlo, vhi
+
+    def spread(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-block columns V (N, blocks) repeated into coordinates (P, Q), each (N, b)."""
+        R = np.repeat(V, self.arrays.mult, axis=1)
+        return R[:, : self.b], R[:, self.b :]
+
     def assemble(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Substitute assignments X (N, dim) -> (P, Q, feasible mask)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        N = X.shape[0]
-        P = np.empty((N, self.b))
-        Q = np.empty((N, self.b))
-        feas = np.ones(N, dtype=bool)
-        for arr, blocks in ((P, self.blocks_p), (Q, self.blocks_q)):
-            col = 0
-            for blk in blocks:
-                val = blk.value(X)
-                feas &= (val >= blk.lo - _FEAS_TOL) & (val <= blk.hi + _FEAS_TOL)
-                arr[:, col : col + blk.mult] = val[:, None]
-                col += blk.mult
+        V = self.block_values(X)
+        A = self.arrays
+        feas = ((V >= A.lo - _FEAS_TOL) & (V <= A.hi + _FEAS_TOL)).all(axis=1)
+        P, Q = self.spread(V)
         return P, Q, feas
 
     def point(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -7,10 +7,12 @@ evaluating it at the coordinate-wise maxima of a box bounds the box
 rigorously (the corner bound); a centred (mean-value) form, whose gradient
 ranges come from the leave-one-out partials of the generating polynomial,
 bounds it too, with an overestimate that shrinks quadratically with the box
-width where the corner bound's shrinks linearly.
+width where the corner bound's shrinks linearly.  Both read the block values
+and ranges of the configuration's affine block map (``Configuration.arrays``),
+and ``_box_bounds`` lowers the corner bound to the centred form where needed.
 
 Every configuration's box is cut once, into a uniform lattice of parts
-(``_lattice``), each bounded by the smaller of the two forms.  The largest
+(``_lattice``), each bounded by ``_box_bounds``.  The largest
 part bound (the root bound) orders the configurations: ``compute_cell_max``
 and ``global_form_max`` maximize them in descending order of it and stop at
 the first one whose bound lies strictly below the incumbent, since neither it
@@ -24,7 +26,7 @@ admits no centre is listed in ``CellMaxResult.unsearched``.
 
 Certification is optional.  The certified mode of ``compute_cell_max`` runs a
 small branch-and-bound per configuration whose root bound is finite, starting
-from the lattice parts, with the same two bounds on every child box.  A box
+from the lattice parts, with ``_box_bounds`` on every child box.  A box
 is not split further once its bound lies within a tolerance, relative to the
 cell maximum, of that maximum; the largest such bound still counts, so the
 certified value never falls below a value the configuration attains, even
@@ -35,7 +37,6 @@ hits its node cap still returns a valid but looser bound and says so in
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import time
@@ -84,10 +85,9 @@ NO_BUDGET = Budget(None)
 
 @dataclass(frozen=True)
 class ConfigMax:
-    """Maximum of one configuration: value, assignment and the witness pair."""
+    """Maximum of one configuration: value and the witness pair."""
 
     value: float
-    x: tuple[float, ...]
     p: tuple[float, ...]
     q: tuple[float, ...]
 
@@ -113,7 +113,6 @@ class CellMaxResult:
     selector: CellPair
     value: float
     config_tag: str
-    x: tuple[float, ...]
     p: tuple[float, ...]
     q: tuple[float, ...]
     exactness: str
@@ -173,9 +172,9 @@ def maximize_config(
         cell = his[0] - los[0]
         seeds = _pick_seeds(centers, values, cell, _SEED_COUNT)
         centers, best_vals = centers[seeds], values[seeds]
-        bands = [(np.bincount([i for i, _ in blk.coeffs], [a for _, a in blk.coeffs], d),
-                  blk.const, blk.lo, blk.hi)
-                 for blk in config.blocks_p + config.blocks_q if blk.coeffs]
+        A = config.arrays
+        moving = A.coef.any(axis=1)
+        bands = list(zip(A.coef[moving], A.const[moving], A.lo[moving], A.hi[moving]))
 
         w = np.maximum(cell * 1.5, _REFINE_STEP)
         widths = np.tile(w, (len(centers), 1))
@@ -211,7 +210,7 @@ def maximize_config(
     p, q, feas = config.point(x)
     if not feas:  # should not happen: best came from a feasible evaluation
         return None
-    return ConfigMax(val, tuple(x.tolist()), tuple(p.tolist()), tuple(q.tolist()))
+    return ConfigMax(val, tuple(p.tolist()), tuple(q.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -226,60 +225,29 @@ def _root_box(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
     return (np.array([fv.lo for fv in config.free]), np.array([fv.hi for fv in config.free]))
 
 
-def _block_ranges(blocks, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Range of each block value over each box by interval arithmetic, shape (n, blocks)."""
-    n = los.shape[0]
-    vlo = np.empty((n, len(blocks)))
-    vhi = np.empty((n, len(blocks)))
-    for col, blk in enumerate(blocks):
-        lo = np.full(n, blk.const)
-        hi = np.full(n, blk.const)
-        for idx, coef in blk.coeffs:
-            if coef >= 0:
-                lo += coef * los[:, idx]
-                hi += coef * his[:, idx]
-            else:
-                lo += coef * his[:, idx]
-                hi += coef * los[:, idx]
-        vlo[:, col] = lo
-        vhi[:, col] = hi
-    return vlo, vhi
-
-
-def _mults(blocks) -> list[int]:
-    return [blk.mult for blk in blocks]
-
-
 def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) -> np.ndarray:
     """Monotone interval bound per cell, -inf for provably infeasible cells.
 
-    For each block the value range over a cell follows from interval
-    arithmetic on its affine expression; a block range disjoint from the
-    block's admissible band, padded by the tolerance ``assemble`` admits
+    A block range (``Configuration.block_ranges``) disjoint from the block's
+    admissible band, padded by the tolerance ``assemble`` admits
     (``configs._FEAS_TOL``), makes the whole cell infeasible.  Otherwise the
     polynomial at the coordinate-wise maxima, clipped to the padded band,
     dominates every point of the cell that ``Configuration.assemble``
     admits.  The pad must be at least that tolerance, so both read the one
     constant.
     """
-    n = los.shape[0]
-    feas = np.ones(n, dtype=bool)
-    cols = []
-    for blocks in (config.blocks_p, config.blocks_q):
-        vlo, vhi = _block_ranges(blocks, los, his)
-        band_lo = np.array([blk.lo for blk in blocks]) - _FEAS_TOL
-        band_hi = np.array([blk.hi for blk in blocks]) + _FEAS_TOL
-        feas &= ((vhi >= band_lo) & (vlo <= band_hi)).all(axis=1)
-        top = np.maximum(np.minimum(vhi, band_hi), 0.0)
-        cols.append(np.repeat(top, _mults(blocks), axis=1))
-    out = np.full(n, -np.inf)
+    A = config.arrays
+    vlo, vhi = config.block_ranges(los, his)
+    band_lo, band_hi = A.lo - _FEAS_TOL, A.hi + _FEAS_TOL
+    feas = ((vhi >= band_lo) & (vlo <= band_hi)).all(axis=1)
+    P, Q = config.spread(np.maximum(np.minimum(vhi, band_hi), 0.0))
+    out = np.full(los.shape[0], -np.inf)
     if feas.any():
         idx = np.nonzero(feas)[0]
-        out[idx] = sep_batch(cols[0][idx], cols[1][idx], config.j)
+        out[idx] = sep_batch(P[idx], Q[idx], config.j)
     return out
 
 
-@functools.lru_cache(maxsize=64)
 def _chain_rule(config: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coordinate runs on which both the p-block and the q-block stay the same.
 
@@ -289,19 +257,12 @@ def _chain_rule(config: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarr
     has the same partial derivatives, so df/dx_k = sum over runs of
     Cp[., k] dS/dp + Cq[., k] dS/dq at the run's first coordinate.
     """
-    owners = [np.repeat(np.arange(len(blocks)), _mults(blocks))
-              for blocks in (config.blocks_p, config.blocks_q)]
-    starts = [i for i in range(config.b)
-              if i == 0 or any(own[i] != own[i - 1] for own in owners)]
-    lengths = np.diff(starts + [config.b])
-    mats = []
-    for own, blocks in zip(owners, (config.blocks_p, config.blocks_q)):
-        C = np.zeros((len(starts), config.dim))
-        for s, i in enumerate(starts):
-            for idx, coef in blocks[own[i]].coeffs:
-                C[s, idx] += lengths[s] * coef
-        mats.append(C)
-    return np.array(starts), mats[0], mats[1]
+    A, b = config.arrays, config.b
+    owner = np.repeat(np.arange(len(A.mult)), A.mult)
+    own_p, own_q = owner[:b], owner[b:]
+    starts = np.flatnonzero(np.diff(own_p, prepend=-1) | np.diff(own_q, prepend=-1))
+    lengths = np.diff(starts, append=b)[:, None]
+    return starts, lengths * A.coef[own_p[starts]], lengths * A.coef[own_q[starts]]
 
 
 def _round_rel(b: int) -> float:
@@ -344,8 +305,10 @@ def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarra
     inside the box.  At a centre with a negative block value f(c) cancels,
     so S at the magnitudes |v(c)| scales the margin there instead of f(c);
     such boxes keep their centred bound rather than being skipped.  Block
-    values are formed as ``Configuration.assemble`` forms them; their own
-    rounding is not covered, as in the corner bound.
+    values come from ``Configuration.block_values``, as in ``assemble``, and
+    their ranges from ``Configuration.block_ranges``, which adds the same
+    terms in the same order; the rounding of those affine sums is not
+    covered, as in the corner bound.
     """
     n = los.shape[0]
     j = config.j
@@ -353,22 +316,13 @@ def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarra
     radius = np.maximum(his - centre, centre - los)
     starts, Cp, Cq = _chain_rule(config)
     nrun = len(starts)
-    at_centre, low, high = [], [], []
-    nonneg = np.ones(n, dtype=bool)
-    for blocks in (config.blocks_p, config.blocks_q):
-        mults = _mults(blocks)
-        vc = np.stack([blk.value(centre) for blk in blocks], axis=1)
-        at_centre.append(np.repeat(vc, mults, axis=1))
-        vlo, vhi = _block_ranges(blocks, los, his)
-        nonneg &= (vlo >= 0.0).all(axis=1)
-        low.append(np.repeat(vlo, mults, axis=1))
-        high.append(np.repeat(np.maximum(np.abs(vlo), vhi), mults, axis=1))
+    vlo, vhi = config.block_ranges(los, his)
     # high corners of every box, low corners of the nonnegative ones; each
-    # column repeated once per run, leaving out the run's first coordinate
-    signed = np.nonzero(nonneg)[0]
+    # row repeated once per run, leaving out the run's first coordinate
+    signed = np.nonzero((vlo >= 0.0).all(axis=1))[0]
     m = n + len(signed)
-    P = np.repeat(np.concatenate((high[0], low[0][signed])), nrun, axis=0)
-    Q = np.repeat(np.concatenate((high[1], low[1][signed])), nrun, axis=0)
+    corners = np.concatenate((np.maximum(np.abs(vlo), vhi), vlo[signed]))
+    P, Q = config.spread(np.repeat(corners, nrun, axis=0))
     dp, dq = _sep_partials(P, Q, j, np.tile(starts, m))
     dp, dq = dp.reshape(m, nrun), dq.reshape(m, nrun)
     dp_lo, dq_lo = -dp[:n], -dq[:n]
@@ -378,27 +332,38 @@ def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarra
     g_hi = (np.maximum(dp_lo * Cp, dp_hi * Cp) + np.maximum(dq_lo * Cq, dq_hi * Cq)).sum(axis=1)
     g_lo = (np.minimum(dp_lo * Cp, dp_hi * Cp) + np.minimum(dq_lo * Cq, dq_hi * Cq)).sum(axis=1)
     g_abs = dp[:n] @ np.abs(Cp) + dq[:n] @ np.abs(Cq)
-    value = sep_batch(at_centre[0], at_centre[1], j)
+    at_centre = config.block_values(centre)
+    value = sep_batch(*config.spread(at_centre), j)
     scale = value.copy()
-    cancels = np.nonzero((at_centre[0] < 0.0).any(axis=1) | (at_centre[1] < 0.0).any(axis=1))[0]
+    cancels = np.nonzero((at_centre < 0.0).any(axis=1))[0]
     if cancels.size:
-        scale[cancels] = sep_batch(np.abs(at_centre[0][cancels]), np.abs(at_centre[1][cancels]), j)
+        scale[cancels] = sep_batch(*config.spread(np.abs(at_centre[cancels])), j)
     spread = (radius * np.maximum(np.abs(g_lo), np.abs(g_hi))).sum(axis=1)
     margin = _round_rel(config.b) * (scale + (radius * g_abs).sum(axis=1))
     return value + spread + margin
+
+
+def _box_bounds(config: Configuration, los: np.ndarray, his: np.ndarray, floor: float) -> np.ndarray:
+    """The corner bound (``_cell_bounds_batch``) of each box, lowered to the
+    centred form (``_centred_bounds_batch``) where it lies above ``floor``;
+    -inf marks a provably infeasible box.  Both forms dominate every point
+    ``Configuration.assemble`` admits in the box."""
+    bounds = _cell_bounds_batch(config, los, his)
+    above = np.nonzero(bounds > floor)[0]
+    if config.dim and above.size:
+        bounds[above] = np.minimum(bounds[above], _centred_bounds_batch(config, los[above], his[above]))
+    return bounds
 
 
 def _lattice(config: Configuration) -> Lattice:
     """The configuration's box split into a uniform lattice of parts.
 
     ``_ROOT_SPLITS[dim]`` parts per axis (the last edge is ``hi`` itself, so
-    the parts tile the box exactly).  Every part gets the monotone corner
-    bound in one batch, the parts that bound leaves finite also the centred
-    form, and each part keeps the smaller of the two.  Both bounds dominate
-    every point ``Configuration.assemble`` admits in their part, rounding
-    included.  Returns the parts' low and high corners and their bounds
+    the parts tile the box exactly), bounded in one batch by ``_box_bounds``
+    with no floor: every part the corner bound leaves finite also gets the
+    centred form.  Returns the parts' low and high corners and their bounds
     (-inf for provably infeasible parts).  A 0-dimensional configuration is
-    one part, its point, bounded by its corner bound.
+    one part, its point.
     """
     lo, hi = _root_box(config)
     k = _ROOT_SPLITS[config.dim]
@@ -409,11 +374,7 @@ def _lattice(config: Configuration) -> Lattice:
         edges.append(e)
     los = np.array(list(itertools.product(*(e[:-1] for e in edges))))
     his = np.array(list(itertools.product(*(e[1:] for e in edges))))
-    bounds = _cell_bounds_batch(config, los, his)
-    live = np.nonzero(np.isfinite(bounds))[0]
-    if config.dim and live.size:
-        bounds[live] = np.minimum(bounds[live], _centred_bounds_batch(config, los[live], his[live]))
-    return los, his, bounds
+    return los, his, _box_bounds(config, los, his, -np.inf)
 
 
 def _certified_supremum(
@@ -432,10 +393,9 @@ def _certified_supremum(
     lattice (``_lattice``), whose parts with a bound above lower + tol form
     the first heap.  Boxes whose bound does not exceed lower + tol are not
     split further, nor are boxes narrower than 1e-12; widest-axis splits
-    otherwise, and children are bounded in batches.  A child's bound is the
-    monotone corner bound (``_cell_bounds_batch``) and, for the children
-    that bound does not prune, the smaller of it and the centred form
-    (``_centred_bounds_batch``).
+    otherwise, and children are bounded in batches by ``_box_bounds`` with
+    the floor lower + tol, so only the children the corner bound does not
+    prune get the centred form.
 
     Returns the largest of ``lower``, the bound of every part or box left
     unsplit and, at the node cap, the bound of every box still open: a valid
@@ -477,16 +437,10 @@ def _certified_supremum(
         rows = np.arange(len(axes))
         child_hi[rows, axes] = mids
         child_lo[rows + len(axes), axes] = mids
-        bounds = _cell_bounds_batch(config, child_lo, child_hi)
-        open_ = np.nonzero(bounds > lower + tol)[0]
-        if open_.size:
-            centred = _centred_bounds_batch(config, child_lo[open_], child_hi[open_])
-            bounds[open_] = np.minimum(bounds[open_], centred)
-        for i in open_:
-            val = float(bounds[i])
-            if val > lower + tol:
-                heapq.heappush(heap, (-val, counter, child_lo[i], child_hi[i]))
-                counter += 1
+        bounds = _box_bounds(config, child_lo, child_hi, lower + tol)
+        for i in np.nonzero(bounds > lower + tol)[0]:
+            heapq.heappush(heap, (-float(bounds[i]), counter, child_lo[i], child_hi[i]))
+            counter += 1
         kept = float(bounds.max(where=bounds <= lower + tol, initial=kept))
     if heap:  # node cap hit: the heap top still bounds every open box
         return max(kept, -heap[0][0]), True
@@ -593,7 +547,6 @@ def compute_cell_max(
         selector=which,
         value=best.value,
         config_tag=best_cfg.describe(),
-        x=best.x,
         p=best.p,
         q=best.q,
         exactness=exactness,

@@ -27,6 +27,8 @@ from .configs import CellPair, PartitionKind, PartitionSpec
 from .seppoly import SepParams, sep_batch
 
 _INCONCLUSIVE_ACCEPT_RATE = 1e-4
+#: absolute slack a sampled value may exceed the engine value by and still count as dominated
+_DOMINANCE_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +104,8 @@ class SampleReport:
     inconclusive: bool
     engine_value: float | None = None
 
-    def dominated(self, engine_value: float, excess: float = 0.0, slack: float = 1e-9) -> bool:
-        return bool(self.best_value <= engine_value + excess + slack)
+    def dominated(self, engine_value: float) -> bool:
+        return bool(self.best_value <= engine_value + _DOMINANCE_SLACK)
 
 
 def sample_subdomain(

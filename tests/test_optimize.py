@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from hashbound.configs import (
 from hashbound.optimize import (
     Budget,
     BudgetExceeded,
-    _block_ranges,
     _cell_bounds_batch,
     _centred_bounds_batch,
     _certified_supremum,
@@ -193,15 +194,38 @@ def test_centred_bound_dominates_sampled_points():
         los = np.array([lo for lo, _ in boxes])
         his = np.array([hi for _, hi in boxes])
         bounds = _centred_bounds_batch(cfg, los, his)
-        for blocks in (cfg.blocks_p, cfg.blocks_q):
-            vlo, vhi = _block_ranges(blocks, los, his)
-            crossing += int(((vlo < 0.0) & (vhi > 0.0)).any(axis=1).sum())
+        vlo, vhi = cfg.block_ranges(los, his)
+        blocks_p = len(cfg.blocks_p)
+        for side in (slice(None, blocks_p), slice(blocks_p, None)):
+            crossing += int(((vlo[:, side] < 0.0) & (vhi[:, side] > 0.0)).any(axis=1).sum())
         for (lo, hi), bound in zip(boxes, bounds):
             X = np.clip(lo + (hi - lo) * rng.random((2000, cfg.dim)), lo, hi)
             X = np.vstack([X, lo, hi, 0.5 * (lo + hi)])
             P, Q, _feas = cfg.assemble(X)
             assert bound >= sep_batch(P, Q, cfg.j).max(), (cfg.describe(), lo, hi)
     assert crossing >= 100
+
+
+def test_block_ranges_enclose_block_values():
+    # every block value at a sampled point or a corner of a box lies in the
+    # block's range over that box, and a point box's range is its value
+    rng = np.random.default_rng(17)
+    configs = [c for c in _preset_and_sweep_configurations() if c.dim]
+    configs += [_swinging_configuration(rng) for _ in range(40)]
+    for cfg in configs:
+        lo0, hi0 = _root_box(cfg)
+        boxes = _sub_boxes(rng, lo0, hi0)
+        los = np.array([lo for lo, _ in boxes])
+        his = np.array([hi for _, hi in boxes])
+        vlo, vhi = cfg.block_ranges(los, his)
+        for (lo, hi), box_lo, box_hi in zip(boxes, vlo, vhi):
+            corners = np.array(list(itertools.product(*zip(lo, hi))))
+            X = np.vstack([np.clip(lo + (hi - lo) * rng.random((200, cfg.dim)), lo, hi), corners])
+            V = cfg.block_values(X)
+            assert (box_lo <= V).all() and (V <= box_hi).all(), (cfg.describe(), lo, hi)
+            assert (V.min(axis=0) == box_lo).all() and (V.max(axis=0) == box_hi).all()
+        point_lo, point_hi = cfg.block_ranges(los[-1:], his[-1:])
+        assert (point_lo == cfg.block_values(los[-1:])).all() and (point_hi == point_lo).all()
 
 
 def test_centred_bound_overestimate_is_second_order():

@@ -5,8 +5,9 @@ hashbound's module-level names.  A hooked name that goes missing is only
 listed in ``Tracer.absent``, and the metrics that depend on it are dropped
 without an error, so a rename under ``src/`` would silently shrink a traced
 benchmark report.  This runs one certified CLI bound and one small sampling
-check under the tracer, the two kinds of operation the workloads make, and
-reads ``perfbench/`` without changing it.
+check under the tracer, the two kinds of operation the workloads make, plus
+one library bound shaped like an ``eps-sweep`` step, and reads
+``perfbench/`` without changing it.
 """
 
 import importlib.util
@@ -15,7 +16,7 @@ import math
 import time
 from pathlib import Path
 
-from hashbound import cli, oracle
+from hashbound import cli, combiner, oracle
 from hashbound.configs import CellPair, PartitionKind, PartitionSpec
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -61,4 +62,26 @@ def test_tracer_hooks_every_layer(tmp_path):
                  "configs.count", "configs.assemble.calls", "optimize.maximize.calls",
                  "optimize.certify.busy_s", "combiner.full_bound.calls", "combiner.combine.busy_s",
                  "classical.calls", "oracle.sample.evaluated"):
+        assert metrics[name] > 0, name
+
+
+def test_tracer_covers_an_eps_sweep_step(monkeypatch):
+    # an eps-sweep step calls the library's full_bound, uncertified; its
+    # global maximum runs only while the (b, j) memo is empty
+    tracer = _load_tracer()
+    monkeypatch.setattr(combiner, "_GLOBAL_MAX_MEMO", {})
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        t0 = time.perf_counter()
+        tr.op = 0
+        rep = combiner.full_bound(6, 6, 3, PartitionSpec(PartitionKind.MIN_VALUE, 0.05))
+        wall = time.perf_counter() - t0
+    finally:
+        tr.uninstall()
+    assert 0.0 < rep.bound < 1.0
+    assert tr.absent == []
+    metrics = tr.layer_metrics(wall, wall)
+    json.dumps(metrics, allow_nan=False)
+    for name in ("optimize.global_max.calls", "seppoly.rows.scan", "combiner.full_bound.calls"):
         assert metrics[name] > 0, name
