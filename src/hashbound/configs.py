@@ -28,7 +28,11 @@ Conventions used by every family below:
   b-j.  Whether a standalone structural zero counts toward that total is
   ambiguous, so both readings are enumerated and the union kept; extra
   configurations can only raise the computed maximum, which is the safe
-  direction for an upper bound.
+  direction for an upper bound;
+* swapping p and q leaves the polynomial unchanged, so a family whose twin
+  (l1 and l2 swapped, and gamma and zeta in ``max-m4/opposed-zeros``) is that
+  swap up to a coordinate permutation, with the same boxes, yields one twin
+  only: l1 <= l2, and gamma <= zeta when l1 = l2.
 """
 
 from __future__ import annotations
@@ -312,7 +316,7 @@ def _global_max_families(b, j, _eps=None):
     for l1 in range(0, b + 1):
         if not _admit((l1,), special, b, j):
             continue
-        for l2 in range(0, b + 1 - l1):
+        for l2 in range(l1, b + 1 - l1):
             if not _admit((l2,), special, b, j):
                 continue
             m = b - l1 - l2
@@ -328,7 +332,7 @@ def _max_m1_families(b, j, eps):
         for l2 in range(0, b + 1 - l1):
             # case 1: both sides carry a capped coordinate, opposed zeros next to it
             m = b - l1 - l2 - 2
-            if m >= 0 and _admit((l1 + 1, l1), special, b, j) and _admit((l2 + 1, l2), special, b, j):
+            if l1 <= l2 and m >= 0 and _admit((l1 + 1, l1), special, b, j) and _admit((l2 + 1, l2), special, b, j):
                 yield ("max-m1/both-capped", (("l1", l1), ("l2", l2)),
                        [(l1, 0.0), (l2, _V("a", 0, cap)), (m, _V("c", 0, cap)), (1, 0.0), (1, cap)],
                        [(l1, _V("d", 0, cap)), (l2, 0.0), (m, _V("e", 0, cap)), (1, cap), (1, 0.0)])
@@ -340,7 +344,7 @@ def _max_m1_families(b, j, eps):
                        [(l1, _V("d", 0, cap)), (l2, 0.0), (m, _V("e", 0, cap)), (1, cap)])
             # case 3: no capped coordinate on either side
             m = b - l1 - l2
-            if _admit((l1,), special, b, j) and _admit((l2,), special, b, j):
+            if l1 <= l2 and _admit((l1,), special, b, j) and _admit((l2,), special, b, j):
                 yield ("max-m1/uncapped", (("l1", l1), ("l2", l2)),
                        [(l1, 0.0), (l2, _V("a", 0, cap)), (m, _V("c", 0, cap))],
                        [(l1, _V("d", 0, cap)), (l2, 0.0), (m, _V("e", 0, cap))])
@@ -352,7 +356,7 @@ def _max_m3_families(b, j, eps):
     for l1 in range(0, b):
         if not _admit((l1,), special, b, j):
             continue
-        for l2 in range(0, b - l1):
+        for l2 in range(l1, b - l1):
             if not _admit((l2,), special, b, j):
                 continue
             m = b - 1 - l1 - l2
@@ -381,11 +385,13 @@ def _max_m4_families(b, j, eps):
     for l1 in range(1, b - 1):
         if not _admit((l1 + 1, l1), special, b, j):
             continue
-        for l2 in range(1, b - 1 - l1):
+        for l2 in range(l1, b - 1 - l1):
             if not _admit((l2 + 1, l2), special, b, j):
                 continue
             m = b - l1 - l2 - 2
             for gamma, zeta in itertools.product((cap, 1.0), repeat=2):
+                if l1 == l2 and gamma > zeta:
+                    continue
                 yield ("max-m4/opposed-zeros", (("l1", l1), ("l2", l2), ("gamma", gamma), ("zeta", zeta)),
                        [(1, gamma), (l1, 0.0), (l2, _V("a", 0, 1)), (m, _V("c", 0, 1)), (1, 0.0)],
                        [(1, 0.0), (l1, _V("d", 0, 1)), (l2, 0.0), (m, _V("e", 0, 1)), (1, zeta)])
@@ -393,7 +399,7 @@ def _max_m4_families(b, j, eps):
 
 def _min_m1_families(b, j, eps):
     for l1 in range(0, b + 1):
-        for l2 in range(0, b + 1 - l1):
+        for l2 in range(l1, b + 1 - l1):
             m = b - l1 - l2
             yield ("min-m1/floor-blocks", (("l1", l1), ("l2", l2)),
                    [(l1, eps), (l2, _V("a", eps, 1)), (m, _V("c", eps, 1))],
@@ -432,7 +438,7 @@ def _min_m3_families(b, j, eps):
         for l2 in range(0, b + 1 - l1):
             # case 1: lead coordinates folded into the sub-eps tail blocks
             mm = b - l1 - l2
-            if mm >= 1 and _admit((l2,), special, b, j):
+            if l1 <= l2 and mm >= 1 and _admit((l2,), special, b, j):
                 yield ("min-m3/folded", (("l1", l1), ("l2", l2)),
                        [(l1, 0.0), (l2, _V("a", 0, 1)), (mm, _V("c", 0, eps))],
                        [(l1, _V("d", 0, 1)), (l2, 0.0), (mm, _V("e", 0, eps))])

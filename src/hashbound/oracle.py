@@ -390,10 +390,6 @@ def check_lemma_inequalities(
     """
     params = SepParams(b, j)
     rng = np.random.Generator(np.random.PCG64(seed))
-    lhs_P = np.empty((count, b))
-    lhs_Q = np.empty((count, b))
-    rhs_P = np.empty((count, b))
-    rhs_Q = np.empty((count, b))
 
     if which == "L6":
         P = rng.dirichlet(np.ones(b), size=count)

@@ -74,11 +74,8 @@ def check_sampling_dominance(
     j: int,
     count: int,
     seed: int,
-    *,
-    engine_value: float | None = None,
 ) -> CheckResult:
-    if engine_value is None:
-        engine_value = compute_cell_max(spec, which, b, j).value
+    engine_value = compute_cell_max(spec, which, b, j).value
     rep = sample_subdomain(spec, which, b, j, count, seed, engine_value=engine_value)
     if rep.inconclusive and rep.evaluated == 0:
         return CheckResult(

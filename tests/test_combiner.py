@@ -112,6 +112,19 @@ def test_full_bound_shortcut_path():
     assert rep.elapsed_secs < 1.0
 
 
+def test_preset_witnesses_are_probability_vectors(partition_report):
+    """``assemble`` admits block values up to 1e-12 outside their bands, so a
+    search could end at a witness with slightly negative coordinates; on every
+    preset cell each witness vector is nonnegative and sums to 1."""
+    from hashbound import presets
+
+    for b, k in presets.PARTITION_PRESETS:
+        for label, cell in partition_report(b, k).cell_values.items():
+            for v in (cell["argmax_p"], cell["argmax_q"]):
+                assert min(v) >= 0.0, (b, k, label, v)
+                assert abs(sum(v) - 1.0) <= 1e-12, (b, k, label, v)
+
+
 def test_report_rate_identity(partition_report):
     from hashbound.classical import rate_from_form_bound
 
