@@ -12,8 +12,10 @@ bitmasks where the engine compares symbol sets.  Three exceptions:
 ``sep_by_full_generating_pass`` repeats ``sep_batch``'s arithmetic on
 purpose, without its row restriction, so that a test can require the two to
 agree bit for bit; ``dense_scan_max``, a reference for the optimizer's
-search rather than for the evaluator, evaluates with ``sep_batch``; and
-``root_bound`` reads the optimizer's own lattice bounds.
+search rather than for the evaluator, evaluates with ``sep_batch``;
+``root_bound`` reads the optimizer's own lattice bounds; and
+``best_config_exhaustive``, a reference for the optimizer's pruning, runs
+its per-configuration search on every configuration.
 """
 
 import itertools
@@ -25,7 +27,7 @@ from itertools import permutations
 import numpy as np
 
 from hashbound.configs import Configuration, PartitionKind, PartitionSpec
-from hashbound.optimize import _lattice
+from hashbound.optimize import _lattice, maximize_config
 from hashbound.reporting import round_up_str
 from hashbound.seppoly import sep_batch
 
@@ -342,3 +344,19 @@ def root_bound(config: Configuration) -> float:
     """Upper bound on the configuration's whole box, -inf when provably
     infeasible: the largest part bound of its lattice."""
     return float(_lattice(config)[2].max())
+
+
+def best_config_exhaustive(configs):
+    """The winner of ``maximize_config`` over every configuration, with no
+    bound or pruning: the highest value, ties to the smallest ``describe()``.
+    Returns (ConfigMax, describe()), or (None, None) when no configuration
+    has an admitted lattice centre."""
+    best = best_tag = None
+    for cfg in configs:
+        res = maximize_config(cfg)
+        if res is None:
+            continue
+        tag = cfg.describe()
+        if best is None or res.value > best.value or (res.value == best.value and tag < best_tag):
+            best, best_tag = res, tag
+    return best, best_tag

@@ -21,6 +21,7 @@ from hashbound.optimize import (
     _cell_bounds_batch,
     _centred_bounds_batch,
     _certified_supremum,
+    _halve,
     _lattice,
     _root_box,
     compute_all_cell_maxima,
@@ -30,7 +31,7 @@ from hashbound.optimize import (
 )
 from hashbound.seppoly import sep_batch, sep_uniform_exact, SepParams
 
-from helpers import dense_scan_max, root_bound
+from helpers import best_config_exhaustive, dense_scan_max, root_bound
 
 
 def test_zero_dim_config_is_exact():
@@ -265,14 +266,7 @@ def test_root_bound_pruning_matches_brute_force(monkeypatch, kind, eps, b, j, wh
     else:
         spec = PartitionSpec(kind, eps)
         cfgs = enumerate_candidates(spec, which, b, j)
-    best = best_tag = None
-    for cfg in cfgs:
-        res = maximize_config(cfg)
-        if res is None:
-            continue
-        tag = cfg.describe()
-        if best is None or res.value > best.value or (res.value == best.value and tag < best_tag):
-            best, best_tag = res, tag
+    best, best_tag = best_config_exhaustive(cfgs)
 
     maximized = []
 
@@ -291,6 +285,145 @@ def test_root_bound_pruning_matches_brute_force(monkeypatch, kind, eps, b, j, wh
     assert (got.value, got_tag, got.p, got.q) == (best.value, best_tag, best.p, best.q)
     feasible = {cfg.describe() for cfg in cfgs if np.isfinite(root_bound(cfg))}
     assert feasible - {tag for tag, _res in maximized}, "no configuration was skipped"
+
+
+def _exhaustive_cells():
+    """Every selector of the (5,5), (6,5), (6,6) and (7,7) presets and of the
+    eps sweep's (6,6) min j=3 cell at eps 0.05, as (spec, which, b, j); the
+    sweep's (7,7) max j=5 cell at eps 0.09 is the (7,7) preset's."""
+    from hashbound import presets
+
+    cells = []
+    for b, k in ((5, 5), (6, 5), (6, 6), (7, 7)):
+        pre = presets.PARTITION_PRESETS[(b, k)]
+        cells.append((pre.spec(), b, pre.j))
+    cells.append((PartitionSpec(PartitionKind.MIN_VALUE, 0.05), 6, 3))
+    return [(spec, which, b, j) for spec, b, j in cells for which in CellPair]
+
+
+def test_cell_max_matches_exhaustive_search():
+    # bounding, lazy refinement and the prune skip only configurations that
+    # cannot win: the result is the one a search of every configuration gives
+    for spec, which, b, j in _exhaustive_cells():
+        best, tag = best_config_exhaustive(enumerate_candidates(spec, which, b, j))
+        got = compute_cell_max(spec, which, b, j)
+        assert (got.value, got.config_tag, got.p, got.q) == (best.value, tag, best.p, best.q), (b, j, which)
+
+
+@pytest.fixture(scope="module")
+def bounded_search():
+    """One certified search of every cell of ``_exhaustive_cells``, recording
+    each configuration the prune drops with its incumbent, each lattice
+    refinement with its floor and refined bounds, and each lattice the
+    certifier starts from with the value it certifies against."""
+    pruned, refined, certified = [], [], []
+    dominated, box_bounds, supremum = optimize._dominated, optimize._box_bounds, optimize._certified_supremum
+
+    def record_prune(cfg, lattice, incumbent):
+        out = dominated(cfg, lattice, incumbent)
+        if out:
+            pruned.append((cfg, lattice, incumbent))
+        return out
+
+    def record_refinement(cfg, los, his, floor, corner=None):
+        out = box_bounds(cfg, los, his, floor, corner)
+        if corner is not None:
+            refined.append((cfg, floor, out))
+        return out
+
+    def record_certification(cfg, lower, lattice, **kwargs):
+        certified.append((cfg, lower, lattice[2]))
+        return supremum(cfg, lower, lattice, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_dominated", record_prune)
+        mp.setattr(optimize, "_box_bounds", record_refinement)
+        mp.setattr(optimize, "_certified_supremum", record_certification)
+        for spec, which, b, j in _exhaustive_cells():
+            compute_cell_max(spec, which, b, j, certify=True)
+    return pruned, refined, certified
+
+
+def test_pruned_configurations_lie_below_incumbent(bounded_search):
+    # no admitted point of a dropped configuration reaches the incumbent it
+    # was compared against: at least 2,000 admitted samples of its box, its
+    # lattice centres and a sample of each part whose bound reached it
+    pruned, _refined, _certified = bounded_search
+    rng = np.random.default_rng(23)
+    for cfg, (los, his, bounds), incumbent in pruned:
+        lo, hi = _root_box(cfg)
+        top = bounds >= incumbent
+        X = [0.5 * (los + his), los[top] + (his[top] - los[top]) * rng.random((top.sum(), cfg.dim))]
+        admitted = 0
+        for _ in range(50):
+            if admitted >= 2000:
+                break
+            batch = lo + (hi - lo) * rng.random((10_000, cfg.dim))
+            admitted += int(cfg.assemble(batch)[2].sum())
+            X.append(batch)
+        assert admitted >= 2000, cfg.describe()
+        P, Q, feas = cfg.assemble(np.vstack(X))
+        assert sep_batch(P[feas], Q[feas], cfg.j).max() < incumbent, cfg.describe()
+    assert len(pruned) >= 20
+
+
+def test_halved_children_tile_their_parent():
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3):
+        los = rng.random((5, d))
+        his = los + rng.uniform(1e-9, 1.0, (5, d))
+        child_lo, child_hi = _halve(los, his)
+        assert child_lo.shape == child_hi.shape == (5 * 2 ** d, d)
+        for i, (lo, hi) in enumerate(zip(los, his)):
+            c_lo = child_lo[i * 2 ** d:(i + 1) * 2 ** d]
+            c_hi = child_hi[i * 2 ** d:(i + 1) * 2 ** d]
+            mid = 0.5 * (lo + hi)
+            # along every axis a child is the lower or the upper half, with
+            # the same midpoint, and each of the 2**d choices occurs once
+            upper = (c_lo == mid) & (c_hi == hi)
+            assert (upper | ((c_lo == lo) & (c_hi == mid))).all()
+            assert len({tuple(row) for row in upper}) == 2 ** d
+
+
+def test_lazy_lattice_matches_full_lattice_above_floor(bounded_search):
+    # a refined part above the incumbent it was refined against has the full
+    # lattice's bound, and so has every part of a lattice handed to the
+    # certifier above the value it certifies against, so the certifier's
+    # first heap and kept slack do not change; a part at or below the
+    # incumbent keeps its corner bound, never lower than the full one
+    _pruned, refined, certified = bounded_search
+    kept_corner = 0
+    for cfg, floor, lazy in refined:
+        full = _lattice(cfg)[2]
+        above = lazy > floor
+        assert (lazy[above] == full[above]).all(), cfg.describe()
+        assert (lazy >= full).all() and (full[~above] <= floor).all(), cfg.describe()
+        kept_corner += int((lazy[~above] > full[~above]).sum())
+    assert kept_corner > 0
+    for cfg, lower, lazy in certified:
+        full = _lattice(cfg)[2]
+        assert ((lazy > lower) == (full > lower)).all(), cfg.describe()
+        assert (lazy[lazy > lower] == full[full > lower]).all(), cfg.describe()
+    assert len(certified) >= len(_exhaustive_cells())
+
+
+def test_dominated_configurations_are_not_polished(monkeypatch):
+    # on the eps-sweep's (6,6) min j=3 same-tag cell the 3-D q-lead shapes
+    # bound at 0.64-0.75 on their lattice against a maximum of 0.4815; only
+    # the one that tops the heap before any incumbent exists and the two the
+    # halving cannot separate from the incumbent are still polished
+    polished = []
+
+    def counted(cfg, *args, **kwargs):
+        polished.append(cfg)
+        return maximize_config(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "maximize_config", counted)
+    res = compute_cell_max(PartitionSpec(PartitionKind.MIN_VALUE, 0.05), CellPair.TAGGED_SAME, 6, 3)
+    assert res.value == pytest.approx(0.4815, abs=1e-4)
+    deep = [c.describe() for c in polished if c.dim == 3 and c.family.startswith("min-m3/q-lead-")]
+    assert len(polished) <= 5
+    assert len(deep) <= 3 and not [tag for tag in deep if tag.startswith("min-m3/q-lead-zero")]
 
 
 def _preset_and_sweep_configurations():
