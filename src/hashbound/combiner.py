@@ -276,7 +276,7 @@ def full_bound(
         global_at_uniform = True
     else:
         # one of the partition selectors already ranges over the unconstrained
-        # families, so its value can be reused when the orders agree
+        # families, so its rigorous bound can be reused when the orders agree
         reuse = None
         if cells is not None and pj == jg:
             sel = (
@@ -284,7 +284,7 @@ def full_bound(
                 if spec.kind is PartitionKind.MAX_VALUE
                 else CellPair.TAGGED_CROSS
             )
-            reuse = cells[sel].value
+            reuse = cells[sel].value + cells[sel].certified_excess
         if reuse is None:
             reuse = _global_max_value(b, jg, budget)
         global_form = max(reuse, uniform_value)

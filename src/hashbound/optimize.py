@@ -24,9 +24,10 @@ few admitted ones by a deterministic shrinking local search down to step
 admits no centre is listed in ``CellMaxResult.unsearched``.
 
 Certification is optional.  The certified mode of ``compute_cell_max`` runs a
-small branch-and-bound per refined configuration whose bound is finite,
-pruned ones included, starting from the lattice parts, with ``_box_bounds``
-on every child box.  A box is not split further once its bound lies within
+branch-and-bound (``_certified_supremum``) per refined configuration whose
+bound is finite and that ``_dominated`` did not prune, from the lattice
+parts, with its open boxes in arrays, bisected several levels deep per
+``_box_bounds`` call.  A box is not split further once its bound lies within
 a tolerance, relative to the cell maximum, of that maximum; the largest such
 bound still counts, so the certified value never falls below a value the
 configuration attains, even where the local search found no admitted point
@@ -410,6 +411,18 @@ def _dominated(config: Configuration, lattice: Lattice, incumbent: float) -> boo
     return True
 
 
+def _bisect(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each box cut in half across its widest axis: the lower halves in box
+    order, then the upper halves."""
+    rows = np.arange(len(los))
+    axes = np.argmax(his - los, axis=1)
+    mids = 0.5 * (los[rows, axes] + his[rows, axes])
+    child_lo, child_hi = np.concatenate((los, los)), np.concatenate((his, his))
+    child_hi[rows, axes] = mids
+    child_lo[rows + len(rows), axes] = mids
+    return child_lo, child_hi
+
+
 def _certified_supremum(
     config: Configuration,
     lower: float,
@@ -423,60 +436,43 @@ def _certified_supremum(
 
     ``lower`` is the incumbent to certify against (typically the best value
     found across all configurations) and ``lattice`` the configuration's
-    lattice (``_lattice``), whose parts with a bound above lower + tol form
-    the first heap.  Boxes whose bound does not exceed lower + tol are not
-    split further, nor are boxes narrower than 1e-12; widest-axis splits
-    otherwise, and children are bounded in batches by ``_box_bounds`` with
-    the floor lower + tol, so only the children the corner bound does not
-    prune get the centred form.
+    lattice (``_lattice``), whose parts are the first boxes.  A box is closed
+    once its bound is at most lower + tol or it is narrower than 1e-12.  Each
+    step bisects the ``_PRUNE_BATCH // 2`` open boxes with the highest bounds
+    across their widest axis, and again while the children fit in
+    ``_PRUNE_BATCH``, and bounds the children in one ``_box_bounds`` call
+    with the floor lower + tol.  Each bisection is one of ``max_nodes``.
 
-    Returns the largest of ``lower``, the bound of every part or box left
-    unsplit and, at the node cap, the bound of every box still open: a valid
-    upper bound on the configuration supremum, at most lower + tol unless the
-    cap was hit or a box too narrow to split had a larger bound.  Also
-    returns whether the node cap was hit.
+    Returns the largest of ``lower``, the bound of every closed box and, at
+    the node cap, of every box still open: a valid upper bound on the
+    configuration supremum, at most lower + tol unless the cap was hit or a
+    too narrow box had a larger bound.  Also returns whether the cap was hit.
     """
-    los0, his0, bounds0 = lattice
+    los, his, bounds = lattice
     if config.dim == 0:  # the bound of a point is its value
-        return max(lower, float(bounds0[0])), False
-    # largest bound of a box left unsplit
-    kept = float(bounds0.max(where=bounds0 <= lower + tol, initial=lower))
-    heap = [(-float(bounds0[i]), i, los0[i], his0[i]) for i in np.nonzero(bounds0 > lower + tol)[0]]
-    heapq.heapify(heap)
-    counter = len(bounds0)
-    processed = 0
-    while heap and processed < max_nodes:
+        return max(lower, float(bounds[0])), False
+    cut = lower + tol
+
+    def close(los, his, bounds, kept):  # the open boxes; kept raised to every other's bound
+        open_ = (bounds > cut) & ((his - los).max(axis=1) >= _REFINE_STEP)
+        return los[open_], his[open_], bounds[open_], float(bounds.max(where=~open_, initial=kept))
+
+    los, his, bounds, kept = close(los, his, bounds, lower)
+    nodes = 0
+    while len(bounds) and nodes < max_nodes:
         budget.check("certification")
-        group_lo, group_hi = [], []
-        while heap and len(group_lo) < 64:
-            neg_ub, _, lo, hi = heapq.heappop(heap)
-            if -neg_ub <= lower + tol:  # heap is max-first: every box left is within tol
-                kept = max(kept, -neg_ub)
-                heap.clear()
-            elif (hi - lo).max() < _REFINE_STEP:  # cannot usefully split further
-                kept = max(kept, -neg_ub)
-            else:
-                group_lo.append(lo)
-                group_hi.append(hi)
-        if not group_lo:
-            break
-        processed += len(group_lo)
-        los = np.array(group_lo)
-        his = np.array(group_hi)
-        axes = np.argmax(his - los, axis=1)
-        mids = 0.5 * (los[np.arange(len(axes)), axes] + his[np.arange(len(axes)), axes])
-        child_lo = np.concatenate([los, los])
-        child_hi = np.concatenate([his, his])
-        rows = np.arange(len(axes))
-        child_hi[rows, axes] = mids
-        child_lo[rows + len(axes), axes] = mids
-        bounds = _box_bounds(config, child_lo, child_hi, lower + tol)
-        for i in np.nonzero(bounds > lower + tol)[0]:
-            heapq.heappush(heap, (-float(bounds[i]), counter, child_lo[i], child_hi[i]))
-            counter += 1
-        kept = float(bounds.max(where=bounds <= lower + tol, initial=kept))
-    if heap:  # node cap hit: the heap top still bounds every open box
-        return max(kept, -heap[0][0]), True
+        order = np.argsort(-bounds, kind="stable")
+        top, rest = order[: _PRUNE_BATCH // 2], order[_PRUNE_BATCH // 2:]
+        child_lo, child_hi = los[top], his[top]
+        while 2 * len(child_lo) <= _PRUNE_BATCH:
+            nodes += len(child_lo)
+            child_lo, child_hi = _bisect(child_lo, child_hi)
+        child_lo, child_hi, child, kept = close(
+            child_lo, child_hi, _box_bounds(config, child_lo, child_hi, cut), kept)
+        los, his = np.concatenate((los[rest], child_lo)), np.concatenate((his[rest], child_hi))
+        bounds = np.concatenate((bounds[rest], child))
+    if len(bounds):  # node cap hit: the open boxes bound what is left
+        return max(kept, float(bounds.max())), True
     return kept, False
 
 
@@ -500,9 +496,10 @@ def _best_config(
     search stops at the first bound strictly below the incumbent.  Returns
     the winner (highest value, ties to the smallest ``describe()``) with its
     configuration, the (configuration, lattice) of every refined
-    configuration with a finite bound, and the ``describe()`` of those whose
-    bound is -inf (no feasible point) and of those whose lattice seeded no
-    search although their bound lies above the winner's value.
+    configuration with a finite bound that was not pruned, and the
+    ``describe()`` of those whose bound is -inf (no feasible point) and of
+    those whose lattice seeded no search although their bound lies above the
+    winner's value.
     """
     lattices = [_lattice(cfg, np.inf) for cfg in configs]
     heap = [(-float(bounds.max()), i, False) for i, (_los, _his, bounds) in enumerate(lattices)]
@@ -525,9 +522,9 @@ def _best_config(
             lattices[i] = (los, his, _box_bounds(cfg, los, his, -np.inf if best is None else best.value, corner))
             heapq.heappush(heap, (-float(lattices[i][2].max()), i, True))
         else:
-            examined.append((cfg, lattices[i]))
             if best is not None and cfg.dim and _dominated(cfg, lattices[i], best.value):
                 continue
+            examined.append((cfg, lattices[i]))
             res = maximize_config(cfg, lattices[i], budget=budget)
             if res is None:
                 unseeded.append((-neg_bound, cfg.describe()))
@@ -553,7 +550,9 @@ def compute_cell_max(
 
     With ``certify`` every configuration examined with a finite root bound is
     certified to within ``cert_tol`` times |maximum| of the maximum
-    (``_certified_supremum``), whether or not its lattice seeded a search.
+    (``_certified_supremum``), whether or not its lattice seeded a search,
+    except those ``_dominated`` pruned: the prune bounded them strictly below
+    an incumbent no larger than the maximum.
     ``vacuous_families`` lists the configurations whose root bound proves
     they have no feasible point; configurations skipped as dominated are not
     among them.  ``unsearched`` lists those whose root bound lies above the

@@ -169,3 +169,31 @@ def test_global_max_is_computed_once_across_eps(monkeypatch):
     assert list(combiner._GLOBAL_MAX_MEMO) == [(5, 3)]
     fresh = max(global_form_max(5, 3).value, reps[0].uniform_form_value)
     assert reps[0].global_form_bound == reps[1].global_form_bound == fresh
+
+
+def test_reused_cell_keeps_its_certified_excess(monkeypatch):
+    # on the (7,7) preset the global order equals the partition order, so
+    # the global path reuses the bulk-tagged cell, whose rigorous bound is
+    # its value plus its certified slack
+    from dataclasses import replace
+
+    from hashbound import presets
+    from hashbound.configs import CellPair
+
+    pre = presets.PARTITION_PRESETS[(7, 7)]
+    real = combiner.compute_all_cell_maxima
+
+    def with_excess(*args, **kwargs):
+        cells = real(*args, **kwargs)
+        cells[CellPair.BULK_TAGGED] = replace(cells[CellPair.BULK_TAGGED], certified_excess=0.5)
+        return cells
+
+    def not_called(*args):
+        raise AssertionError("the reused cell should stand in for the global maximum")
+
+    monkeypatch.setattr(combiner, "_global_max_value", not_called)
+    plain = full_bound(7, 7, pre.j, pre.spec())
+    assert plain.global_form_bound == max(plain.cell_values["m2"]["value"], plain.uniform_form_value)
+    monkeypatch.setattr(combiner, "compute_all_cell_maxima", with_excess)
+    rep = full_bound(7, 7, pre.j, pre.spec())
+    assert rep.global_form_bound == rep.cell_values["m2"]["value"] + 0.5

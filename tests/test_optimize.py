@@ -385,6 +385,15 @@ def test_halved_children_tile_their_parent():
             assert len({tuple(row) for row in upper}) == 2 ** d
 
 
+def test_pruned_configurations_are_not_certified(bounded_search):
+    # the prune bounded every grandchild strictly below an incumbent no
+    # larger than the cell value, so certifying the configuration again
+    # cannot raise the certified value
+    pruned, _refined, certified = bounded_search
+    assert pruned and certified
+    assert not {id(cfg) for cfg, *_ in pruned} & {id(cfg) for cfg, *_ in certified}
+
+
 def test_lazy_lattice_matches_full_lattice_above_floor(bounded_search):
     # a refined part above the incumbent it was refined against has the full
     # lattice's bound, and so has every part of a lattice handed to the
@@ -538,6 +547,106 @@ def test_certified_supremum_keeps_slack_of_dropped_boxes():
         sup, capped = _certified_supremum(cfg, res.value - 5e-6, _lattice(cfg), tol=1e-5)
         assert not capped, which
         assert res.value <= sup <= res.value + 5e-6, which
+
+
+def _best_admitted_value(cfg, rng, count=2000):
+    """The best value over at least ``count`` admitted samples of the
+    configuration's box and its admitted lattice centres."""
+    los, his, _bounds = _lattice(cfg)
+    lo, hi = _root_box(cfg)
+    X, admitted = [0.5 * (los + his)], 0
+    for _ in range(50):
+        if admitted >= count:
+            break
+        batch = lo + (hi - lo) * rng.random((10_000, cfg.dim))
+        admitted += int(cfg.assemble(batch)[2].sum())
+        X.append(batch)
+    assert admitted >= count, cfg.describe()
+    P, Q, feas = cfg.assemble(np.vstack(X))
+    return sep_batch(P[feas], Q[feas], cfg.j).max()
+
+
+@pytest.fixture(scope="module")
+def preset_certificates():
+    """For every configuration with dim >= 1 and a finite bound of the (5,5)
+    and (7,7) presets: the best admitted sample value (``_best_admitted_value``),
+    the certified supremum at lower = the cell value, the sizes of the
+    ``_box_bounds`` calls it made, and its results with ``max_nodes=5`` at
+    lower = the cell value and at half the sampled value."""
+    from hashbound import presets
+
+    rng = np.random.default_rng(31)
+    box_bounds = optimize._box_bounds
+    records = []
+    for b, k in ((5, 5), (7, 7)):
+        pre = presets.PARTITION_PRESETS[(b, k)]
+        for which in CellPair:
+            value = compute_cell_max(pre.spec(), which, b, pre.j).value
+            tol = 1e-9 * abs(value)
+            for cfg in enumerate_candidates(pre.spec(), which, b, pre.j):
+                lattice = _lattice(cfg)
+                if cfg.dim == 0 or not np.isfinite(lattice[2]).any():
+                    continue
+                sizes = []
+
+                def recorded(config, los, his, floor, corner=None):
+                    sizes.append(len(los))
+                    return box_bounds(config, los, his, floor, corner)
+
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(optimize, "_box_bounds", recorded)
+                    full = _certified_supremum(cfg, value, lattice, tol=tol)
+                sampled = _best_admitted_value(cfg, rng)
+                capped = [_certified_supremum(cfg, lower, lattice, tol=tol, max_nodes=5)
+                          for lower in (value, 0.5 * sampled)]
+                records.append((cfg, sampled, full, sizes, capped))
+    return records
+
+
+def test_certifier_bounds_full_batches_of_at_most_prune_batch():
+    # each step bisects the top open boxes until their children fill more
+    # than half of one batch, and never more than one: unbounded batches
+    # raise the peak memory, small ones pay the per-call overhead; the (6,6)
+    # same-tag cell keeps thousands of boxes open until its node cap
+    from hashbound import presets
+
+    sizes = []
+    box_bounds, supremum = optimize._box_bounds, optimize._certified_supremum
+
+    def recorded(config, los, his, floor, corner=None):
+        sizes.append(len(los))
+        return box_bounds(config, los, his, floor, corner)
+
+    def certify(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "_box_bounds", recorded)
+            return supremum(*args, **kwargs)
+
+    pre = presets.PARTITION_PRESETS[(6, 6)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_certified_supremum", certify)
+        assert compute_cell_max(pre.spec(), CellPair.TAGGED_SAME, 6, pre.j, certify=True).certify_capped
+    assert len(sizes) > 50
+    assert all(optimize._PRUNE_BATCH // 2 < n <= optimize._PRUNE_BATCH for n in sizes)
+
+
+def test_certified_supremum_dominates_admitted_samples(preset_certificates):
+    for cfg, sampled, (sup, capped), _sizes, _capped in preset_certificates:
+        assert not capped, cfg.describe()
+        assert sup >= sampled, cfg.describe()
+    assert len(preset_certificates) >= 100
+
+
+def test_capped_certifier_still_dominates_admitted_samples(preset_certificates):
+    # one step spends more than 5 nodes, so the cap stops every search that
+    # needs a second step, and its open boxes still bound the configuration;
+    # below a positive sampled value no box holding the best sample can close
+    hit = 0
+    for cfg, sampled, _full, sizes, ((sup, capped), (low_sup, low_capped)) in preset_certificates:
+        assert capped == (len(sizes) >= 2), cfg.describe()
+        assert sup >= sampled and low_sup >= sampled and (low_capped or sampled == 0), cfg.describe()
+        hit += capped
+    assert hit >= 10
 
 
 def test_cell_bound_covers_padded_block_values():
