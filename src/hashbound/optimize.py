@@ -11,33 +11,33 @@ width where the corner bound's shrinks linearly.  Both read the block values
 and ranges of the configuration's affine block map (``Configuration.arrays``),
 and ``_box_bounds`` lowers the corner bound to the centred form where needed.
 
-Every configuration's box is cut once, into a uniform lattice of parts
-(``_lattice``).  ``_best_config`` keeps the configurations in one heap keyed
-by their largest part bound, refines a bound only as far as the incumbent
-requires, and maximizes only the configurations that halving their parts
-does not prove dominated (``_dominated``).  The winner is the same as a
-search of every configuration would give: highest value, ties broken by the
-smallest ``Configuration.describe()``.  ``maximize_config`` evaluates the
-part centres of each configuration it is handed, once, and polishes the best
-few admitted ones by a deterministic shrinking local search down to step
-1e-12.  A configuration whose bound lies above the maximum but whose lattice
-admits no centre is listed in ``CellMaxResult.unsearched``.
+Every configuration's box is cut once, into a uniform lattice of parts with
+corner bounds (``_lattice``).  ``_best_config`` visits the configurations in
+one pass, highest lattice bound first, and maximizes only those that
+bisecting their parts twice over does not prove dominated (``_dominated``,
+the one place besides the certifier that applies the centred form).  The
+winner is the same as a search of every configuration would give: highest
+value, ties broken by the smallest ``Configuration.describe()``.
+``maximize_config`` evaluates the part centres of each configuration it is
+handed, once, and polishes the best few admitted ones by a deterministic
+shrinking local search down to step 1e-12.  A configuration whose lattice
+bound lies above the maximum but whose lattice admits no centre is listed in
+``CellMaxResult.unsearched``.
 
 Certification is optional.  The certified mode of ``compute_cell_max`` runs a
-branch-and-bound (``_certified_supremum``) per refined configuration whose
-bound is finite and that ``_dominated`` did not prune, from the lattice
-parts, with its open boxes in arrays, bisected several levels deep per
-``_box_bounds`` call.  A box is not split further once its bound lies within
-a tolerance, relative to the cell maximum, of that maximum; the largest such
-bound still counts, so the certified value never falls below a value the
-configuration attains, even where the local search found no admitted point
-to start from.  A search that hits its node cap still returns a valid but
-looser bound and says so in ``CellMaxResult.certify_capped``.
+branch-and-bound (``_certified_supremum``) per maximized configuration whose
+bound is finite, from the lattice parts, with its open boxes in arrays,
+bisected several levels deep per ``_box_bounds`` call.  A box is not split
+further once its bound lies within a tolerance, relative to the cell maximum,
+of that maximum; the largest such bound still counts, so the certified value
+never falls below a value the configuration attains, even where the local
+search found no admitted point to start from.  A search that hits its node
+cap still returns a valid but looser bound and says so in
+``CellMaxResult.certify_capped``.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
 from dataclasses import dataclass
@@ -105,9 +105,9 @@ class CellMaxResult:
     cap stopped the search; it is 0 when certification is off.
     ``certify_capped`` is True when the branch-and-bound of some configuration
     stopped at its node cap.  ``unsearched`` lists the configurations whose
-    root bound lies above ``value`` but whose lattice admits no centre to
-    seed the local search from: the certified slack covers them, the
-    uncertified value may not.
+    root bound (the largest corner bound of their lattice parts) lies above
+    ``value`` but whose lattice admits no centre to seed the local search
+    from: the certified slack covers them, the uncertified value may not.
     """
 
     selector: CellPair
@@ -219,7 +219,7 @@ def maximize_config(
 
 
 _ROOT_SPLITS = {0: 1, 1: 32, 2: 16, 3: 6}  # parts per axis of a configuration's lattice, by dimension
-_PRUNE_BATCH = 256  # most boxes ``_dominated`` bounds in one call, one 2-D lattice
+_PRUNE_BATCH = 256  # most boxes ``_dominated`` and the certifier bound in one call, one 2-D lattice
 
 
 def _root_box(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
@@ -344,28 +344,26 @@ def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarra
     return value + spread + margin
 
 
-def _box_bounds(config: Configuration, los: np.ndarray, his: np.ndarray, floor: float,
-                corner: np.ndarray | None = None) -> np.ndarray:
-    """The corner bound (``_cell_bounds_batch``, or ``corner`` if given) of
-    each box, lowered to the centred form (``_centred_bounds_batch``) where
-    it lies above ``floor``; -inf marks a provably infeasible box.  Both
-    forms dominate every point ``Configuration.assemble`` admits in the box."""
-    bounds = _cell_bounds_batch(config, los, his) if corner is None else corner.copy()
+def _box_bounds(config: Configuration, los: np.ndarray, his: np.ndarray, floor: float) -> np.ndarray:
+    """The corner bound (``_cell_bounds_batch``) of each box, lowered to the
+    centred form (``_centred_bounds_batch``) where it lies above ``floor``;
+    -inf marks a provably infeasible box.  Both forms dominate every point
+    ``Configuration.assemble`` admits in the box."""
+    bounds = _cell_bounds_batch(config, los, his)
     above = np.nonzero(bounds > floor)[0]
     if config.dim and above.size:
         bounds[above] = np.minimum(bounds[above], _centred_bounds_batch(config, los[above], his[above]))
     return bounds
 
 
-def _lattice(config: Configuration, floor: float = -np.inf) -> Lattice:
+def _lattice(config: Configuration) -> Lattice:
     """The configuration's box split into a uniform lattice of parts.
 
     ``_ROOT_SPLITS[dim]`` parts per axis (the last edge is ``hi`` itself, so
-    the parts tile the box exactly), bounded in one batch by ``_box_bounds``
-    with ``floor``: with the default every part the corner bound leaves
-    finite also gets the centred form, with floor +inf none does.  Returns
-    the parts' low and high corners and their bounds (-inf for provably
-    infeasible parts).  A 0-dimensional configuration is one part, its point.
+    the parts tile the box exactly), each with its corner bound
+    (``_cell_bounds_batch``), all in one batch.  Returns the parts' low and
+    high corners and their bounds (-inf for provably infeasible parts).  A
+    0-dimensional configuration is one part, its point.
     """
     lo, hi = _root_box(config)
     k = _ROOT_SPLITS[config.dim]
@@ -376,39 +374,7 @@ def _lattice(config: Configuration, floor: float = -np.inf) -> Lattice:
         edges.append(e)
     los = np.array(list(itertools.product(*(e[:-1] for e in edges))))
     his = np.array(list(itertools.product(*(e[1:] for e in edges))))
-    return los, his, _box_bounds(config, los, his, floor)
-
-
-def _halve(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each box cut in half along every axis: 2**dim children per box, in
-    box order, that tile it exactly."""
-    mids = 0.5 * (los + his)
-    upper = np.array(list(itertools.product((False, True), repeat=los.shape[1])))[None]
-    child_lo = np.where(upper, mids[:, None], los[:, None]).reshape(-1, los.shape[1])
-    child_hi = np.where(upper, his[:, None], mids[:, None]).reshape(-1, los.shape[1])
-    return child_lo, child_hi
-
-
-def _dominated(config: Configuration, lattice: Lattice, incumbent: float) -> bool:
-    """True when halving the lattice parts whose bound is not below
-    ``incumbent``, and then such children, along every axis bounds every
-    grandchild strictly below it (``_box_bounds``, the incumbent as floor, at
-    most ``_PRUNE_BATCH`` boxes a call, depth first from the highest part)."""
-    los, his, bounds = lattice
-    top = np.argsort(-bounds)[: int((bounds >= incumbent).sum())]
-    step = max(1, _PRUNE_BATCH >> config.dim)
-    work = [(los[top], his[top], 2)]
-    while work:
-        los, his, rounds = work.pop()
-        if len(los) > step:
-            work.append((los[step:], his[step:], rounds))
-        child_lo, child_hi = _halve(los[:step], his[:step])
-        keep = _box_bounds(config, child_lo, child_hi, incumbent) >= incumbent
-        if keep.any():
-            if rounds == 1:
-                return False
-            work.append((child_lo[keep], child_hi[keep], rounds - 1))
-    return True
+    return los, his, _cell_bounds_batch(config, los, his)
 
 
 def _bisect(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -421,6 +387,34 @@ def _bisect(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     child_hi[rows, axes] = mids
     child_lo[rows + len(rows), axes] = mids
     return child_lo, child_hi
+
+
+def _dominated(config: Configuration, lattice: Lattice, incumbent: float) -> bool:
+    """True when every grandchild of the lattice parts whose bound is not
+    below ``incumbent`` bounds strictly below it (``_box_bounds``, the
+    incumbent as floor).  A round bisects each box ``dim`` times
+    (``_bisect``), so it halves a box of equal widths along every axis, and
+    the second round splits only the children that the first left at or
+    above the incumbent.  The boxes go depth first from the highest part, at
+    most ``_PRUNE_BATCH`` children a call, and the first grandchild at or
+    above the incumbent ends the search."""
+    los, his, bounds = lattice
+    top = np.argsort(-bounds)[: int((bounds >= incumbent).sum())]
+    step = max(1, _PRUNE_BATCH >> config.dim)
+    work = [(los[top], his[top], 2)]
+    while work:
+        los, his, rounds = work.pop()
+        if len(los) > step:
+            work.append((los[step:], his[step:], rounds))
+        child_lo, child_hi = los[:step], his[:step]
+        for _ in range(config.dim):
+            child_lo, child_hi = _bisect(child_lo, child_hi)
+        keep = _box_bounds(config, child_lo, child_hi, incumbent) >= incumbent
+        if keep.any():
+            if rounds == 1:
+                return False
+            work.append((child_lo[keep], child_hi[keep], rounds - 1))
+    return True
 
 
 def _certified_supremum(
@@ -487,51 +481,42 @@ def _best_config(
            list[str]]:
     """Maximize the configurations that their bounds do not prove dominated.
 
-    The configurations go into one heap keyed by the largest part bound of
-    their corner-bound lattice (``_lattice``).  Popped for the first time, a
-    configuration gets the centred form where its corner bound exceeds the
-    incumbent, which leaves its bound equal to the full lattice's wherever
-    that lies above the incumbent, and goes back.  Popped again, it is
-    maximized unless ``_dominated`` proves it below the incumbent.  The
-    search stops at the first bound strictly below the incumbent.  Returns
-    the winner (highest value, ties to the smallest ``describe()``) with its
-    configuration, the (configuration, lattice) of every refined
-    configuration with a finite bound that was not pruned, and the
+    The configurations are visited in one pass, highest first by the largest
+    part bound of their lattice (``_lattice``, corner bounds), ties in list
+    order.  A configuration is maximized unless ``_dominated`` proves it
+    below the incumbent, and the pass stops at the first bound strictly
+    below the incumbent.  Returns the winner (highest value, ties to the
+    smallest ``describe()``) with its configuration, the (configuration,
+    lattice) of every maximized configuration with a finite bound, and the
     ``describe()`` of those whose bound is -inf (no feasible point) and of
     those whose lattice seeded no search although their bound lies above the
     winner's value.
     """
-    lattices = [_lattice(cfg, np.inf) for cfg in configs]
-    heap = [(-float(bounds.max()), i, False) for i, (_los, _his, bounds) in enumerate(lattices)]
-    heapq.heapify(heap)
+    lattices = [_lattice(cfg) for cfg in configs]
+    roots = [float(bounds.max()) for _los, _his, bounds in lattices]
     best: ConfigMax | None = None
     best_cfg: Configuration | None = None
     examined: list[tuple[Configuration, Lattice]] = []
     vacuous: list[str] = []
     unseeded: list[tuple[float, str]] = []
-    while heap:
-        neg_bound, i, refined = heapq.heappop(heap)
-        if best is not None and -neg_bound < best.value:
+    for i in sorted(range(len(configs)), key=lambda i: -roots[i]):
+        if best is not None and roots[i] < best.value:
             break
         budget.check(what)
         cfg = configs[i]
-        if not np.isfinite(neg_bound):
+        if not np.isfinite(roots[i]):
             vacuous.append(cfg.describe())
-        elif not refined:
-            los, his, corner = lattices[i]
-            lattices[i] = (los, his, _box_bounds(cfg, los, his, -np.inf if best is None else best.value, corner))
-            heapq.heappush(heap, (-float(lattices[i][2].max()), i, True))
-        else:
-            if best is not None and cfg.dim and _dominated(cfg, lattices[i], best.value):
-                continue
-            examined.append((cfg, lattices[i]))
-            res = maximize_config(cfg, lattices[i], budget=budget)
-            if res is None:
-                unseeded.append((-neg_bound, cfg.describe()))
-            elif best is None or res.value > best.value or (
-                res.value == best.value and cfg.describe() < best_cfg.describe()
-            ):
-                best, best_cfg = res, cfg
+            continue
+        if best is not None and cfg.dim and _dominated(cfg, lattices[i], best.value):
+            continue
+        examined.append((cfg, lattices[i]))
+        res = maximize_config(cfg, lattices[i], budget=budget)
+        if res is None:
+            unseeded.append((roots[i], cfg.describe()))
+        elif best is None or res.value > best.value or (
+            res.value == best.value and cfg.describe() < best_cfg.describe()
+        ):
+            best, best_cfg = res, cfg
     unsearched = [tag for root, tag in unseeded if best is None or root > best.value]
     return best, best_cfg, examined, vacuous, unsearched
 

@@ -342,7 +342,7 @@ def dense_scan_max(config: Configuration, grid: int = 400) -> float:
 
 def root_bound(config: Configuration) -> float:
     """Upper bound on the configuration's whole box, -inf when provably
-    infeasible: the largest part bound of its lattice."""
+    infeasible: the largest corner bound of its lattice parts."""
     return float(_lattice(config)[2].max())
 
 

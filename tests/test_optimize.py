@@ -21,7 +21,7 @@ from hashbound.optimize import (
     _cell_bounds_batch,
     _centred_bounds_batch,
     _certified_supremum,
-    _halve,
+    _bisect,
     _lattice,
     _root_box,
     compute_all_cell_maxima,
@@ -302,8 +302,8 @@ def _exhaustive_cells():
 
 
 def test_cell_max_matches_exhaustive_search():
-    # bounding, lazy refinement and the prune skip only configurations that
-    # cannot win: the result is the one a search of every configuration gives
+    # bounding and the prune skip only configurations that cannot win: the
+    # result is the one a search of every configuration gives
     for spec, which, b, j in _exhaustive_cells():
         best, tag = best_config_exhaustive(enumerate_candidates(spec, which, b, j))
         got = compute_cell_max(spec, which, b, j)
@@ -313,22 +313,15 @@ def test_cell_max_matches_exhaustive_search():
 @pytest.fixture(scope="module")
 def bounded_search():
     """One certified search of every cell of ``_exhaustive_cells``, recording
-    each configuration the prune drops with its incumbent, each lattice
-    refinement with its floor and refined bounds, and each lattice the
-    certifier starts from with the value it certifies against."""
-    pruned, refined, certified = [], [], []
-    dominated, box_bounds, supremum = optimize._dominated, optimize._box_bounds, optimize._certified_supremum
+    each configuration the prune drops with its incumbent, and each lattice
+    the certifier starts from with the value it certifies against."""
+    pruned, certified = [], []
+    dominated, supremum = optimize._dominated, optimize._certified_supremum
 
     def record_prune(cfg, lattice, incumbent):
         out = dominated(cfg, lattice, incumbent)
         if out:
             pruned.append((cfg, lattice, incumbent))
-        return out
-
-    def record_refinement(cfg, los, his, floor, corner=None):
-        out = box_bounds(cfg, los, his, floor, corner)
-        if corner is not None:
-            refined.append((cfg, floor, out))
         return out
 
     def record_certification(cfg, lower, lattice, **kwargs):
@@ -337,18 +330,17 @@ def bounded_search():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "_dominated", record_prune)
-        mp.setattr(optimize, "_box_bounds", record_refinement)
         mp.setattr(optimize, "_certified_supremum", record_certification)
         for spec, which, b, j in _exhaustive_cells():
             compute_cell_max(spec, which, b, j, certify=True)
-    return pruned, refined, certified
+    return pruned, certified
 
 
 def test_pruned_configurations_lie_below_incumbent(bounded_search):
     # no admitted point of a dropped configuration reaches the incumbent it
     # was compared against: at least 2,000 admitted samples of its box, its
     # lattice centres and a sample of each part whose bound reached it
-    pruned, _refined, _certified = bounded_search
+    pruned, _certified = bounded_search
     rng = np.random.default_rng(23)
     for cfg, (los, his, bounds), incumbent in pruned:
         lo, hi = _root_box(cfg)
@@ -367,60 +359,39 @@ def test_pruned_configurations_lie_below_incumbent(bounded_search):
     assert len(pruned) >= 20
 
 
-def test_halved_children_tile_their_parent():
+def test_bisected_children_tile_their_parent():
     rng = np.random.default_rng(8)
     for d in (1, 2, 3):
         los = rng.random((5, d))
         his = los + rng.uniform(1e-9, 1.0, (5, d))
-        child_lo, child_hi = _halve(los, his)
-        assert child_lo.shape == child_hi.shape == (5 * 2 ** d, d)
+        child_lo, child_hi = _bisect(los, his)
+        assert child_lo.shape == child_hi.shape == (10, d)
         for i, (lo, hi) in enumerate(zip(los, his)):
-            c_lo = child_lo[i * 2 ** d:(i + 1) * 2 ** d]
-            c_hi = child_hi[i * 2 ** d:(i + 1) * 2 ** d]
+            # the lower half comes in box order, the upper half five rows on;
+            # they meet at the midpoint of the widest axis and copy the box
+            # along every other axis, so they tile it exactly
+            widest = np.arange(d) == np.argmax(hi - lo)
             mid = 0.5 * (lo + hi)
-            # along every axis a child is the lower or the upper half, with
-            # the same midpoint, and each of the 2**d choices occurs once
-            upper = (c_lo == mid) & (c_hi == hi)
-            assert (upper | ((c_lo == lo) & (c_hi == mid))).all()
-            assert len({tuple(row) for row in upper}) == 2 ** d
+            assert (child_lo[i] == lo).all() and (child_hi[i + 5] == hi).all()
+            assert (child_hi[i] == np.where(widest, mid, hi)).all()
+            assert (child_lo[i + 5] == np.where(widest, mid, lo)).all()
 
 
 def test_pruned_configurations_are_not_certified(bounded_search):
     # the prune bounded every grandchild strictly below an incumbent no
     # larger than the cell value, so certifying the configuration again
     # cannot raise the certified value
-    pruned, _refined, certified = bounded_search
+    pruned, certified = bounded_search
     assert pruned and certified
     assert not {id(cfg) for cfg, *_ in pruned} & {id(cfg) for cfg, *_ in certified}
 
 
-def test_lazy_lattice_matches_full_lattice_above_floor(bounded_search):
-    # a refined part above the incumbent it was refined against has the full
-    # lattice's bound, and so has every part of a lattice handed to the
-    # certifier above the value it certifies against, so the certifier's
-    # first heap and kept slack do not change; a part at or below the
-    # incumbent keeps its corner bound, never lower than the full one
-    _pruned, refined, certified = bounded_search
-    kept_corner = 0
-    for cfg, floor, lazy in refined:
-        full = _lattice(cfg)[2]
-        above = lazy > floor
-        assert (lazy[above] == full[above]).all(), cfg.describe()
-        assert (lazy >= full).all() and (full[~above] <= floor).all(), cfg.describe()
-        kept_corner += int((lazy[~above] > full[~above]).sum())
-    assert kept_corner > 0
-    for cfg, lower, lazy in certified:
-        full = _lattice(cfg)[2]
-        assert ((lazy > lower) == (full > lower)).all(), cfg.describe()
-        assert (lazy[lazy > lower] == full[full > lower]).all(), cfg.describe()
-    assert len(certified) >= len(_exhaustive_cells())
-
-
 def test_dominated_configurations_are_not_polished(monkeypatch):
     # on the eps-sweep's (6,6) min j=3 same-tag cell the 3-D q-lead shapes
-    # bound at 0.64-0.75 on their lattice against a maximum of 0.4815; only
-    # the one that tops the heap before any incumbent exists and the two the
-    # halving cannot separate from the incumbent are still polished
+    # bound at 0.67-0.86 on their corner-bound lattice against a maximum of
+    # 0.4815; only the one that comes first before any incumbent exists and
+    # the two that two rounds of bisection cannot separate from the
+    # incumbent are still polished
     polished = []
 
     def counted(cfg, *args, **kwargs):
@@ -451,8 +422,9 @@ def _preset_and_sweep_configurations():
 
 
 def test_split_root_bound_between_maximum_and_corner_bound():
-    # the split bound dominates every configuration's maximum and is never
-    # looser than the corner bound of the whole box
+    # the split bound, the largest corner bound of the lattice parts,
+    # dominates every configuration's maximum and is never looser than the
+    # corner bound of the whole box
     checked = 0
     for cfg in _preset_and_sweep_configurations():
         lo, hi = _root_box(cfg)
@@ -589,9 +561,9 @@ def preset_certificates():
                     continue
                 sizes = []
 
-                def recorded(config, los, his, floor, corner=None):
+                def recorded(config, los, his, floor):
                     sizes.append(len(los))
-                    return box_bounds(config, los, his, floor, corner)
+                    return box_bounds(config, los, his, floor)
 
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(optimize, "_box_bounds", recorded)
@@ -613,9 +585,9 @@ def test_certifier_bounds_full_batches_of_at_most_prune_batch():
     sizes = []
     box_bounds, supremum = optimize._box_bounds, optimize._certified_supremum
 
-    def recorded(config, los, his, floor, corner=None):
+    def recorded(config, los, his, floor):
         sizes.append(len(los))
-        return box_bounds(config, los, his, floor, corner)
+        return box_bounds(config, los, his, floor)
 
     def certify(*args, **kwargs):
         with pytest.MonkeyPatch.context() as mp:
