@@ -290,15 +290,15 @@ def cmd_sweep_eps(b, k, j, partition, eps_min, eps_max, steps, fmt, out, budget_
     rows = []
     for e in grid_eps:
         rep = full_bound(b, k, jj, PartitionSpec(kind, e), budget=budget)
-        rows.append((e, rep.bound, rep.path))
-    best_eps, best_bound, _ = min(rows, key=lambda r: r[1])
+        rows.append((e, rep.bound, rep.path, ";".join(rep.flags)))
+    best_eps, best_bound, *_ = min(rows, key=lambda r: r[1])
     pre = presets.PARTITION_PRESETS.get((b, k))
     beats = None
     if pre is not None and pre.kind is kind:
         pre_rep = full_bound(b, k, pre.j, pre.spec(), budget=budget)
         beats = best_bound < pre_rep.bound - 1e-9
-    headers = ["eps", "bound", "bound_raw", "path"]
-    data = [[f"{e:.9f}", round_up_str(v, 5), repr(v), path] for e, v, path in rows]
+    headers = ["eps", "bound", "bound_raw", "path", "flags"]
+    data = [[f"{e:.9f}", round_up_str(v, 5), repr(v), path, flags] for e, v, path, flags in rows]
     summary = f"argmin eps = {best_eps!r} bound = {best_bound!r}"
     if beats is not None:
         summary += f"  improves on preset: {'yes' if beats else 'no'}"

@@ -18,7 +18,9 @@ the published hypothesis' fallback, and the result is flagged.
 
 ``full_bound`` runs the whole pipeline for one (b, k): cell maxima for the
 requested partition, the combiner, the rate conversion, and the always-valid
-global-maximum path, returning the smaller bound with provenance.
+global-maximum path, returning the smaller bound with provenance.  The global
+maximum comes from the one eps-independent memo in ``optimize``, certified
+when the cells are.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .classical import (
     korner_marton,
     rate_from_form_bound,
 )
-from .configs import CellPair, PartitionKind, PartitionSpec
+from .configs import CellPair, PartitionSpec
 from .optimize import (
     Budget,
     CellMaxResult,
@@ -201,18 +203,6 @@ def _cells_to_dict(cells: dict[CellPair, CellMaxResult]) -> dict:
     return out
 
 
-#: global_form_max values by (b, j): they do not depend on eps, so a sweep
-#: over eps computes each one once
-_GLOBAL_MAX_MEMO: dict[tuple[int, int], float] = {}
-
-
-def _global_max_value(b: int, j: int, budget: Budget) -> float:
-    key = (b, j)
-    if key not in _GLOBAL_MAX_MEMO:  # a call that runs out of budget stores nothing
-        _GLOBAL_MAX_MEMO[key] = global_form_max(b, j, budget=budget).value
-    return _GLOBAL_MAX_MEMO[key]
-
-
 def full_bound(
     b: int,
     k: int,
@@ -226,11 +216,13 @@ def full_bound(
     global-maximum path at order k-2.
 
     The global path uses the exact uniform closed form for pairs where the
-    unconstrained maximum is known to sit at uniform vectors (the published
-    list, re-verified by the test suite) and otherwise maximizes over the
-    global configuration families, which is always a valid dominator of the
-    mixture form.  That maximum does not depend on eps and is computed once
-    per (b, j) in a process.
+    unconstrained maximum is published to sit at uniform vectors (the test
+    suite checks that list only by the local search, a lower estimate) and
+    otherwise the global maximum (``global_form_max``, plus its certified
+    slack with ``certify``), which always dominates the mixture form.  That
+    maximum does not depend on eps; ``optimize`` memoises it per (b, j), and
+    the partition cells that range over the same families read the same
+    entry.
     """
     t0 = time.monotonic()
     params = ProblemParams(b, k, j)
@@ -275,19 +267,8 @@ def full_bound(
         global_form = uniform_value
         global_at_uniform = True
     else:
-        # one of the partition selectors already ranges over the unconstrained
-        # families, so its rigorous bound can be reused when the orders agree
-        reuse = None
-        if cells is not None and pj == jg:
-            sel = (
-                CellPair.BULK_TAGGED
-                if spec.kind is PartitionKind.MAX_VALUE
-                else CellPair.TAGGED_CROSS
-            )
-            reuse = cells[sel].value + cells[sel].certified_excess
-        if reuse is None:
-            reuse = _global_max_value(b, jg, budget)
-        global_form = max(reuse, uniform_value)
+        glob = global_form_max(b, jg, certify=certify, budget=budget)
+        global_form = max(glob.value + glob.certified_excess, uniform_value)
         global_at_uniform = abs(global_form - uniform_value) <= 1e-9
         if not global_at_uniform:
             flags.append("global-max:above-uniform")

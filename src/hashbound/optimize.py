@@ -34,22 +34,29 @@ never falls below a value the configuration attains, even where the local
 search found no admitted point to start from.  A search that hits its node
 cap still returns a valid but looser bound and says so in
 ``CellMaxResult.certify_capped``.
+
+The max partition's m2 and the min partition's m4 range over the global
+families, which do not depend on eps.  One memo holds the global maximum per
+(b, j) and certification tolerance; ``compute_cell_max`` answers both
+selectors from it, and ``global_form_max`` reads and fills the same entries.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .configs import (
+    _FAMILIES,
     _FEAS_TOL,
     CellPair,
     Configuration,
     PartitionSpec,
     UPPER_BOUND_ONLY,
+    _global_max_families,
     enumerate_candidates,
     global_candidates,
 )
@@ -108,9 +115,10 @@ class CellMaxResult:
     root bound (the largest corner bound of their lattice parts) lies above
     ``value`` but whose lattice admits no centre to seed the local search
     from: the certified slack covers them, the uncertified value may not.
+    ``selector`` is None for the global maximum (``global_form_max``).
     """
 
-    selector: CellPair
+    selector: CellPair | None
     value: float
     config_tag: str
     p: tuple[float, ...]
@@ -476,21 +484,18 @@ def _certified_supremum(
 
 
 def _best_config(
-    configs: list[Configuration], *, budget: Budget, what: str
-) -> tuple[ConfigMax | None, Configuration | None, list[tuple[Configuration, Lattice]], list[str],
-           list[str]]:
+    configs: list[Configuration], what: str, *, certify: bool, cert_tol: float, budget: Budget
+) -> CellMaxResult:
     """Maximize the configurations that their bounds do not prove dominated.
 
     The configurations are visited in one pass, highest first by the largest
     part bound of their lattice (``_lattice``, corner bounds), ties in list
     order.  A configuration is maximized unless ``_dominated`` proves it
     below the incumbent, and the pass stops at the first bound strictly
-    below the incumbent.  Returns the winner (highest value, ties to the
-    smallest ``describe()``) with its configuration, the (configuration,
-    lattice) of every maximized configuration with a finite bound, and the
-    ``describe()`` of those whose bound is -inf (no feasible point) and of
-    those whose lattice seeded no search although their bound lies above the
-    winner's value.
+    below the incumbent.  The winner has the highest value, ties to the
+    smallest ``describe()``.  With ``certify`` every maximized configuration
+    with a finite bound is certified (``_certified_supremum``).  The result
+    has selector None and exactness "attained", as the global maximum's.
     """
     lattices = [_lattice(cfg) for cfg in configs]
     roots = [float(bounds.max()) for _los, _his, bounds in lattices]
@@ -517,8 +522,45 @@ def _best_config(
             res.value == best.value and cfg.describe() < best_cfg.describe()
         ):
             best, best_cfg = res, cfg
-    unsearched = [tag for root, tag in unseeded if best is None or root > best.value]
-    return best, best_cfg, examined, vacuous, unsearched
+    if best is None:
+        raise ValueError(f"every configuration vacuous in {what}")
+    certified = best.value
+    capped = False
+    if certify:
+        # certify against the best value across configurations: dominated
+        # configurations prune in a handful of splits, and those the search
+        # skipped have a root bound below it already
+        tol = cert_tol * abs(best.value)
+        for cfg, lattice in examined:
+            sup, hit = _certified_supremum(cfg, best.value, lattice, tol=tol, budget=budget)
+            certified = max(certified, sup)
+            capped |= hit
+    return CellMaxResult(
+        selector=None,
+        value=best.value,
+        config_tag=best_cfg.describe(),
+        p=best.p,
+        q=best.q,
+        exactness="attained",
+        certified_excess=max(0.0, certified - best.value),
+        vacuous_families=tuple(vacuous),
+        certify_capped=capped,
+        unsearched=tuple(tag for root, tag in unseeded if root > best.value),
+    )
+
+
+#: the global maximum by (b, j, cert_tol if certified else None): the global
+#: families do not depend on eps, so every eps and both selectors that use
+#: them share one search per request in a process
+_GLOBAL_MAXIMA: dict[tuple[int, int, float | None], CellMaxResult] = {}
+
+
+def _global_max(b: int, j: int, certify: bool, cert_tol: float, budget: Budget) -> CellMaxResult:
+    key = (b, j, cert_tol if certify else None)
+    if key not in _GLOBAL_MAXIMA:  # a call that runs out of budget stores nothing
+        _GLOBAL_MAXIMA[key] = _best_config(global_candidates(b, j), "global max", certify=certify,
+                                           cert_tol=cert_tol, budget=budget)
+    return _GLOBAL_MAXIMA[key]
 
 
 def compute_cell_max(
@@ -541,44 +583,18 @@ def compute_cell_max(
     ``vacuous_families`` lists the configurations whose root bound proves
     they have no feasible point; configurations skipped as dominated are not
     among them.  ``unsearched`` lists those whose root bound lies above the
-    maximum but whose lattice seeded no search.
+    maximum but whose lattice seeded no search.  The two selectors whose
+    families are the global ones read the memoised global maximum
+    (``global_form_max``) once the spec is validated.
     """
-    candidates = enumerate_candidates(spec, which, b, j)
-    if not candidates:
-        raise ValueError(f"no candidate configurations for {which} at (b={b}, j={j})")
-    best, best_cfg, examined, vacuous, unsearched = _best_config(
-        candidates, budget=budget, what=f"{which.label} enumeration"
-    )
-    if best is None:
-        raise ValueError(f"every configuration vacuous for {which} at (b={b}, j={j})")
-    excess = 0.0
-    capped = False
-    if certify:
-        # certify against the best value across configurations: dominated
-        # configurations prune in a handful of splits, and those the search
-        # skipped have a root bound below it already
-        certified = best.value
-        tol = cert_tol * abs(best.value)
-        for cfg, lattice in examined:
-            sup, hit = _certified_supremum(cfg, best.value, lattice, tol=tol, budget=budget)
-            certified = max(certified, sup)
-            capped |= hit
-        excess = max(0.0, certified - best.value)
-    exactness = (
-        "upper_bound" if (spec.kind, which) in UPPER_BOUND_ONLY else "attained"
-    )
-    return CellMaxResult(
-        selector=which,
-        value=best.value,
-        config_tag=best_cfg.describe(),
-        p=best.p,
-        q=best.q,
-        exactness=exactness,
-        certified_excess=excess,
-        vacuous_families=tuple(vacuous),
-        certify_capped=capped,
-        unsearched=tuple(unsearched),
-    )
+    if _FAMILIES[(spec.kind, which)] is _global_max_families:
+        spec.validate(b, j)
+        res = _global_max(b, j, certify, cert_tol, budget)
+    else:
+        res = _best_config(enumerate_candidates(spec, which, b, j), f"{which.label} enumeration",
+                           certify=certify, cert_tol=cert_tol, budget=budget)
+    exactness = "upper_bound" if (spec.kind, which) in UPPER_BOUND_ONLY else "attained"
+    return replace(res, selector=which, exactness=exactness)
 
 
 def compute_all_cell_maxima(
@@ -595,11 +611,10 @@ def compute_all_cell_maxima(
     }
 
 
-def global_form_max(b: int, j: int, *, budget: Budget = NO_BUDGET) -> ConfigMax:
-    """Unconstrained maximum of the order-j polynomial over simplex pairs."""
-    best, *_ = _best_config(
-        global_candidates(b, j), budget=budget, what="global max"
-    )
-    if best is None:
-        raise ValueError(f"global maximum enumeration vacuous at (b={b}, j={j})")
-    return best
+def global_form_max(
+    b: int, j: int, *, certify: bool = False, budget: Budget = NO_BUDGET
+) -> CellMaxResult:
+    """Unconstrained maximum of the order-j polynomial over simplex pairs,
+    certified with ``cert_tol`` 1e-9 when asked; its memo entry is the one
+    the max partition's m2 and the min partition's m4 read."""
+    return _global_max(b, j, certify, 1e-9, budget)

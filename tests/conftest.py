@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from hashbound import presets
+from hashbound import optimize, presets
 from hashbound.combiner import full_bound
 
 settings.register_profile("repro", deadline=None, derandomize=True)
@@ -25,3 +25,10 @@ def partition_report():
         return cache[(b, k)]
 
     return get
+
+
+@pytest.fixture(autouse=True)
+def fresh_global_maxima(monkeypatch):
+    """Each test starts with an empty memo of global maxima, so a test that
+    counts searches does not depend on which tests ran before it."""
+    monkeypatch.setattr(optimize, "_GLOBAL_MAXIMA", {})

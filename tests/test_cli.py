@@ -184,6 +184,28 @@ def test_sweep_eps_seven_seven_covers_preset(capsys):
     assert min(float(r["bound_raw"]) for r in rows) <= 0.04090 + 1e-5
 
 
+def test_sweep_eps_rows_carry_the_report_flags(capsys):
+    # a weakened cell must not pass silently: each row carries its report's
+    # flags, here the min partition's upper-bound-only m3 and m4 cells
+    from hashbound.combiner import full_bound
+    from hashbound.configs import PartitionKind, PartitionSpec
+
+    args = ["sweep-eps", "--b", "6", "--k", "6", "--j", "3", "--partition", "min",
+            "--eps-min", "0.045", "--eps-max", "0.055", "--steps", "2"]
+    want = [";".join(full_bound(6, 6, 3, PartitionSpec(PartitionKind.MIN_VALUE, e)).flags)
+            for e in (0.045, 0.055)]
+    assert all("m4:upper-bound" in flags for flags in want)
+    code, out, _ = run(capsys, *args, "--format", "csv")
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert list(rows[0]) == ["eps", "bound", "bound_raw", "path", "flags"]
+    assert [r["flags"] for r in rows] == want
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert [r["flags"] for r in json.loads(out)["rows"]] == want
+    code, out, _ = run(capsys, *args)
+    assert [line.split()[-1] for line in out.splitlines()[2:4]] == want
+
+
 def test_sweep_eps_range_errors(capsys):
     code, _, err = run(
         capsys, "sweep-eps", "--b", "7", "--k", "7", "--partition", "max",

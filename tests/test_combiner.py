@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hashbound import combiner
+from hashbound import optimize
 from hashbound.combiner import (
     BoundReport,
     CellMaxima,
@@ -11,7 +11,7 @@ from hashbound.combiner import (
     combine,
     full_bound,
 )
-from hashbound.configs import PartitionKind, PartitionSpec
+from hashbound.configs import PartitionKind, PartitionSpec, global_candidates
 from hashbound.optimize import Budget, BudgetExceeded, global_form_max
 MI_77 = CellMaxima(0.085679, 0.092593, 0.000006, 0.000107, 7)
 MI_66 = CellMaxima(0.185185, 0.178857, 0.140664, 0.192000, 6)
@@ -149,51 +149,43 @@ def test_full_bound_rejects_small_k():
 
 
 def test_global_max_is_computed_once_across_eps(monkeypatch):
-    monkeypatch.setattr(combiner, "_GLOBAL_MAX_MEMO", {})
-    calls = []
+    searched = []
 
-    def counted(b, j, **kwargs):
-        calls.append((b, j))
-        return global_form_max(b, j, **kwargs)
+    def counted(b, j):
+        searched.append((b, j))
+        return global_candidates(b, j)
 
-    monkeypatch.setattr(combiner, "global_form_max", counted)
+    monkeypatch.setattr(optimize, "global_candidates", counted)
     # a budget that has already run out raises, and leaves nothing behind
     with pytest.raises(BudgetExceeded):
         full_bound(5, 5, budget=Budget(0.0))
-    assert combiner._GLOBAL_MAX_MEMO == {}
+    assert optimize._GLOBAL_MAXIMA == {}
     reps = [
         full_bound(5, 5, 2, PartitionSpec(PartitionKind.MAX_VALUE, eps))
         for eps in (0.2, 0.25)
     ]
-    assert calls == [(5, 3)] * 2
-    assert list(combiner._GLOBAL_MAX_MEMO) == [(5, 3)]
+    # the call that ran out, then the m2 cell at j=2 and the global path at
+    # j=3, each searched once across both eps
+    assert searched == [(5, 3), (5, 2), (5, 3)]
+    assert sorted(optimize._GLOBAL_MAXIMA) == [(5, 2, None), (5, 3, None)]
+    monkeypatch.setattr(optimize, "_GLOBAL_MAXIMA", {})
     fresh = max(global_form_max(5, 3).value, reps[0].uniform_form_value)
     assert reps[0].global_form_bound == reps[1].global_form_bound == fresh
 
 
-def test_reused_cell_keeps_its_certified_excess(monkeypatch):
+def test_reused_cell_keeps_its_certified_excess():
     # on the (7,7) preset the global order equals the partition order, so
-    # the global path reuses the bulk-tagged cell, whose rigorous bound is
-    # its value plus its certified slack
+    # the bulk-tagged cell and the global path read one memo entry, whose
+    # rigorous bound is its value plus its certified slack
     from dataclasses import replace
 
     from hashbound import presets
-    from hashbound.configs import CellPair
 
     pre = presets.PARTITION_PRESETS[(7, 7)]
-    real = combiner.compute_all_cell_maxima
-
-    def with_excess(*args, **kwargs):
-        cells = real(*args, **kwargs)
-        cells[CellPair.BULK_TAGGED] = replace(cells[CellPair.BULK_TAGGED], certified_excess=0.5)
-        return cells
-
-    def not_called(*args):
-        raise AssertionError("the reused cell should stand in for the global maximum")
-
-    monkeypatch.setattr(combiner, "_global_max_value", not_called)
     plain = full_bound(7, 7, pre.j, pre.spec())
     assert plain.global_form_bound == max(plain.cell_values["m2"]["value"], plain.uniform_form_value)
-    monkeypatch.setattr(combiner, "compute_all_cell_maxima", with_excess)
+    (key, entry), = optimize._GLOBAL_MAXIMA.items()
+    optimize._GLOBAL_MAXIMA[key] = replace(entry, certified_excess=0.5)
     rep = full_bound(7, 7, pre.j, pre.spec())
+    assert rep.cell_values["m2"]["certified_excess"] == 0.5
     assert rep.global_form_bound == rep.cell_values["m2"]["value"] + 0.5

@@ -276,13 +276,8 @@ def test_root_bound_pruning_matches_brute_force(monkeypatch, kind, eps, b, j, wh
         return res
 
     monkeypatch.setattr(optimize, "maximize_config", counted)
-    if which is None:
-        got = global_form_max(b, j)
-        got_tag = next(tag for tag, res in maximized if res is got)
-    else:
-        got = compute_cell_max(spec, which, b, j)
-        got_tag = got.config_tag
-    assert (got.value, got_tag, got.p, got.q) == (best.value, best_tag, best.p, best.q)
+    got = global_form_max(b, j) if which is None else compute_cell_max(spec, which, b, j)
+    assert (got.value, got.config_tag, got.p, got.q) == (best.value, best_tag, best.p, best.q)
     feasible = {cfg.describe() for cfg in cfgs if np.isfinite(root_bound(cfg))}
     assert feasible - {tag for tag, _res in maximized}, "no configuration was skipped"
 
@@ -310,11 +305,106 @@ def test_cell_max_matches_exhaustive_search():
         assert (got.value, got.config_tag, got.p, got.q) == (best.value, tag, best.p, best.q), (b, j, which)
 
 
+def _global_cells():
+    """The selector that ranges over the global families on each of the 12
+    presets and on the eps sweep's two cells off their presets, as
+    (spec, which, b, j): the max partition's m2 and the min partition's m4."""
+    from hashbound import presets
+
+    cells = [(pre.spec(), b, pre.j) for (b, _k), pre in sorted(presets.PARTITION_PRESETS.items())]
+    cells += [(PartitionSpec(PartitionKind.MIN_VALUE, 0.047), 6, 3),
+              (PartitionSpec(PartitionKind.MAX_VALUE, 0.093), 7, 5)]
+    return [(spec, CellPair.BULK_TAGGED if spec.kind is PartitionKind.MAX_VALUE
+             else CellPair.TAGGED_CROSS, b, j) for spec, b, j in cells]
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_global_cells_match_the_unmemoised_search(certify):
+    # the selector's own configurations are the global ones, and the memo
+    # hands back every field an un-memoised search of them gives, apart from
+    # the selector and its exactness
+    from dataclasses import replace
+
+    from hashbound.configs import UPPER_BOUND_ONLY
+
+    for spec, which, b, j in _global_cells():
+        configs = global_candidates(b, j)
+        assert [c.describe() for c in configs] == [
+            c.describe() for c in enumerate_candidates(spec, which, b, j)]
+        want = optimize._best_config(configs, "global max", certify=certify, cert_tol=1e-9,
+                                     budget=Budget(None))
+        exactness = "upper_bound" if (spec.kind, which) in UPPER_BOUND_ONLY else "attained"
+        for _ in range(2):  # the first call fills the memo, the second reads it
+            got = compute_cell_max(spec, which, b, j, certify=certify)
+            assert got == replace(want, selector=which, exactness=exactness), (b, j, which)
+        assert (want.certified_excess > 0.0) == certify, (b, j, which)
+
+
+def test_warm_full_bound_enumerates_three_cells(monkeypatch):
+    # at a new eps only the three eps-dependent cells are searched: the
+    # fourth cell and the global path read the memo
+    from hashbound.combiner import full_bound
+
+    full_bound(6, 6, 3, PartitionSpec(PartitionKind.MIN_VALUE, 0.05))
+    searched = []
+    enumerate_real, global_real = optimize.enumerate_candidates, optimize.global_candidates
+
+    def enumerated(spec, which, b, j):
+        searched.append(which)
+        return enumerate_real(spec, which, b, j)
+
+    def global_searched(b, j):
+        searched.append((b, j))
+        return global_real(b, j)
+
+    monkeypatch.setattr(optimize, "enumerate_candidates", enumerated)
+    monkeypatch.setattr(optimize, "global_candidates", global_searched)
+    rep = full_bound(6, 6, 3, PartitionSpec(PartitionKind.MIN_VALUE, 0.047))
+    assert searched == [CellPair.BULK_BULK, CellPair.BULK_TAGGED, CellPair.TAGGED_SAME]
+    assert 0.0 < rep.bound < 1.0
+
+
+def test_global_memo_answers_only_its_own_request(monkeypatch):
+    from dataclasses import replace
+
+    searched = []
+    real = optimize.global_candidates
+
+    def counted(b, j):
+        searched.append((b, j))
+        return real(b, j)
+
+    monkeypatch.setattr(optimize, "global_candidates", counted)
+    spec = PartitionSpec(PartitionKind.MAX_VALUE, 0.09)
+    certified = compute_cell_max(spec, CellPair.BULK_TAGGED, 7, 5, certify=True)
+    assert certified.certified_excess > 0.0
+    # an uncertified request is not served by the certified entry
+    plain = compute_cell_max(spec, CellPair.BULK_TAGGED, 7, 5)
+    assert plain.certified_excess == 0.0 and plain.value == certified.value
+    # nor a tighter tolerance by a looser one
+    tight = compute_cell_max(spec, CellPair.BULK_TAGGED, 7, 5, certify=True, cert_tol=1e-12)
+    assert searched == [(7, 5)] * 3
+    assert tight.certified_excess <= 1e-12 * tight.value
+    assert compute_cell_max(spec, CellPair.BULK_TAGGED, 7, 5, certify=True) == certified
+    assert global_form_max(7, 5, certify=True) == replace(certified, selector=None, exactness="attained")
+    # the spec is still checked against (b, j) when the entry is there
+    with pytest.raises(ValueError):
+        compute_cell_max(PartitionSpec(PartitionKind.MAX_VALUE, 0.5), CellPair.BULK_TAGGED, 7, 5)
+    with pytest.raises(ValueError):
+        compute_cell_max(PartitionSpec(PartitionKind.MIN_VALUE, 0.2), CellPair.TAGGED_CROSS, 7, 5)
+    # both selectors read one entry, each under its own name
+    cross = compute_cell_max(PartitionSpec(PartitionKind.MIN_VALUE, 0.1), CellPair.TAGGED_CROSS, 7, 5)
+    assert (plain.selector, cross.selector) == (CellPair.BULK_TAGGED, CellPair.TAGGED_CROSS)
+    assert (cross.value, cross.p, cross.q) == (plain.value, plain.p, plain.q)
+    assert searched == [(7, 5)] * 3
+
+
 @pytest.fixture(scope="module")
 def bounded_search():
-    """One certified search of every cell of ``_exhaustive_cells``, recording
-    each configuration the prune drops with its incumbent, and each lattice
-    the certifier starts from with the value it certifies against."""
+    """One certified search of every cell of ``_exhaustive_cells``, from an
+    empty memo of global maxima (so a global cell met twice is searched once),
+    recording each configuration the prune drops with its incumbent, and each
+    lattice the certifier starts from with the value it certifies against."""
     pruned, certified = [], []
     dominated, supremum = optimize._dominated, optimize._certified_supremum
 
@@ -329,6 +419,7 @@ def bounded_search():
         return supremum(cfg, lower, lattice, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_GLOBAL_MAXIMA", {})
         mp.setattr(optimize, "_dominated", record_prune)
         mp.setattr(optimize, "_certified_supremum", record_certification)
         for spec, which, b, j in _exhaustive_cells():

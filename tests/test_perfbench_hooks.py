@@ -16,7 +16,7 @@ import math
 import time
 from pathlib import Path
 
-from hashbound import cli, combiner, oracle
+from hashbound import cli, combiner, optimize, oracle
 from hashbound.configs import CellPair, PartitionKind, PartitionSpec
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -67,9 +67,10 @@ def test_tracer_hooks_every_layer(tmp_path):
 
 def test_tracer_covers_an_eps_sweep_step(monkeypatch):
     # an eps-sweep step calls the library's full_bound, uncertified; its
-    # global maximum runs only while the (b, j) memo is empty
+    # global path looks the global maximum up in the memo on every call and
+    # searches only while the (b, j) entry is missing
     tracer = _load_tracer()
-    monkeypatch.setattr(combiner, "_GLOBAL_MAX_MEMO", {})
+    monkeypatch.setattr(optimize, "_GLOBAL_MAXIMA", {})
     tr = tracer.Tracer()
     tr.install()
     try:
