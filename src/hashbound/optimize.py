@@ -6,23 +6,25 @@ coordinates.  The polynomial only grows when any coordinate grows, so
 evaluating it at the coordinate-wise maxima of a box bounds the box
 rigorously (the corner bound); a centred (mean-value) form, whose gradient
 ranges come from the leave-one-out partials of the generating polynomial,
-bounds it too, with an overestimate that shrinks quadratically with the box
-width where the corner bound's shrinks linearly.  Both read the block values
-and ranges of the configuration's affine block map (``Configuration.arrays``),
-and ``_box_bounds`` lowers the corner bound to the centred form where needed.
+split by sign where a block can be negative, bounds it too, with an
+overestimate that shrinks quadratically with the box width where the corner
+bound's shrinks linearly.  Both read the block values and ranges of the
+configuration's affine block map (``Configuration.arrays``), and
+``_box_bounds`` lowers the corner bound to the centred form where needed.
 
 Every configuration's box is cut once, into a uniform lattice of parts with
-corner bounds (``_lattice``).  ``_best_config`` visits the configurations in
-one pass, highest lattice bound first, and maximizes only those that
-bisecting their parts twice over does not prove dominated (``_dominated``,
-the one place besides the certifier that applies the centred form).  The
-winner is the same as a search of every configuration would give: highest
-value, ties broken by the smallest ``Configuration.describe()``.
-``maximize_config`` evaluates the part centres of each configuration it is
-handed, once, and polishes the best few admitted ones by a deterministic
-shrinking local search down to step 1e-12.  A configuration whose lattice
-bound lies above the maximum but whose lattice admits no centre is listed in
-``CellMaxResult.unsearched``.
+corner bounds (``_lattice``).  ``_best_config`` evaluates the points
+(0-dimensional configurations) first, for an attained incumbent, then visits
+the others in one pass, highest lattice bound first, and maximizes only
+those that bisecting their parts twice over does not prove dominated
+(``_dominated``, the one place besides the certifier that applies the
+centred form).  The winner is the same as a search of every configuration
+would give: highest value, ties broken by the smallest
+``Configuration.describe()``.  ``maximize_config`` evaluates the part centres
+of each configuration it is handed, once, and polishes the best few admitted
+ones by a deterministic shrinking local search down to step 1e-12.  A
+configuration whose lattice bound lies above the maximum but whose lattice
+admits no centre is listed in ``CellMaxResult.unsearched``.
 
 Certification is optional.  The certified mode of ``compute_cell_max`` runs a
 branch-and-bound (``_certified_supremum``) per maximized configuration whose
@@ -133,24 +135,24 @@ class CellMaxResult:
 def _evaluate(config: Configuration, X: np.ndarray) -> np.ndarray:
     """Objective on assignments X, -inf where infeasible."""
     P, Q, feas = config.assemble(X)
+    if feas.all():
+        return sep_batch(P, Q, config.j)
     vals = np.full(X.shape[0], -np.inf)
     if feas.any():
-        idx = np.nonzero(feas)[0]
-        vals[idx] = sep_batch(P[idx], Q[idx], config.j)
+        vals[feas] = sep_batch(P[feas], Q[feas], config.j)
     return vals
 
 
 def _pick_seeds(X: np.ndarray, vals: np.ndarray, cell: np.ndarray, count: int) -> np.ndarray:
     """Indices of up to ``count`` points of X with finite values, best first,
     each more than two cells away from every earlier pick along some axis."""
+    order = np.argsort(vals)[::-1]
+    alive = np.logical_and.accumulate(np.isfinite(vals[order]))
     seeds: list[int] = []
-    for i in np.argsort(vals)[::-1]:
-        if not np.isfinite(vals[i]):
-            break
-        if all(np.any(np.abs(X[i] - X[s]) > 2.0 * cell) for s in seeds):
-            seeds.append(i)
-            if len(seeds) >= count:
-                break
+    while alive.any() and len(seeds) < count:
+        i = order[np.argmax(alive)]
+        seeds.append(i)
+        alive &= np.any(np.abs(X[order] - X[i]) > 2.0 * cell, axis=1)
     return np.array(seeds, dtype=int)
 
 
@@ -182,7 +184,8 @@ def maximize_config(
         centers, best_vals = centers[seeds], values[seeds]
         A = config.arrays
         moving = A.coef.any(axis=1)
-        bands = list(zip(A.coef[moving], A.const[moving], A.lo[moving], A.hi[moving]))
+        bands = [(c, c @ c, const, band_lo, band_hi) for c, const, band_lo, band_hi
+                 in zip(A.coef[moving], A.const[moving], A.lo[moving], A.hi[moving])]
 
         w = np.maximum(cell * 1.5, _REFINE_STEP)
         widths = np.tile(w, (len(centers), 1))
@@ -194,9 +197,11 @@ def maximize_config(
             budget.check("refinement")
             cand = centers[:, None, :] + offsets[None, :, :] * widths[:, None, :]
             flat = cand.reshape(-1, d)
-            for c, const, band_lo, band_hi in bands:
+            for c, cc, const, band_lo, band_hi in bands:
                 at = const + flat @ c
-                flat += np.outer((np.clip(at, band_lo, band_hi) - at) / (c @ c), c)
+                back = np.clip(at, band_lo, band_hi) - at
+                if back.any():
+                    flat += np.outer(back / cc, c)
             np.clip(flat, lo, hi, out=flat)
             cvals = _evaluate(config, flat).reshape(len(centers), -1)
             arg = np.argmax(cvals, axis=1)
@@ -277,16 +282,52 @@ def _chain_rule(config: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _round_rel(b: int) -> float:
     """A priori relative rounding bound of one centred bound (Higham, ch. 3).
 
-    gamma_n = n u / (1 - n u) with u = 2^-53 and n = 5b + 16: a term of
+    gamma_n = n u / (1 - n u) with u = 2^-53 and n = 5b + 18: a term of
     ``sep_batch`` or ``_sep_partials`` is rounded at most three times per
-    coordinate and twice at the end, and the chain rule (one product, at
-    most 2b sums over runs), the spread and the final sums add at most
-    2b + 7 more.  Doubled, because the bound must also dominate the rounded
-    ``sep_batch`` value at any point of the box, whose error is at most
-    gamma_n times the same magnitude sum.
+    coordinate and twice at the end, the two subtractions of a split lower
+    end (``_gradient_bounds``) twice more, and the chain rule (one product,
+    at most 2b sums over runs), the spread and the final sums at most
+    2b + 7 more times.  Doubled, because the bound must also dominate the
+    rounded ``sep_batch`` value at any point of the box, whose error is at
+    most gamma_n times the same magnitude sum.
     """
-    nu = (5 * b + 16) * 2.0 ** -53
+    nu = (5 * b + 18) * 2.0 ** -53
     return 2.0 * nu / (1.0 - nu)
+
+
+def _gradient_bounds(config: Configuration, los: np.ndarray,
+                     his: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[G_lo, G_hi], enclosing the unclipped polynomial's gradient on each
+    box, and |G|, bounding the magnitudes of the terms summed into either end.
+    Each partial g (``_sep_partials``) has nonnegative coefficients, so with
+    M the largest block magnitudes, L+ the low block ends raised to 0 and M0
+    equal to M with the blocks that can be negative set to 0, g lies in
+    [g(L+) - (g(M) - g(M0)), g(M)]: the monomials free of those blocks grow
+    with their entries, and the others are each at most their value at M in
+    magnitude, values that sum to g(M) - g(M0).  The chain rule goes through
+    the affine blocks (``_chain_rule``); one pass covers every box, corner
+    set and run."""
+    n = los.shape[0]
+    starts, Cp, Cq = _chain_rule(config)
+    vlo, vhi = config.block_ranges(los, his)
+    # M and L+ for every box, M0 where some block can be negative; each row
+    # repeated once per run, leaving out the run's first coordinate
+    neg = vlo < 0.0
+    split = np.nonzero(neg.any(axis=1))[0]
+    top = np.maximum(np.abs(vlo), vhi)
+    corners = np.concatenate((top, np.maximum(vlo, 0.0), np.where(neg[split], 0.0, top[split])))
+    P, Q = config.spread(np.repeat(corners, len(starts), axis=0))
+    dp, dq = _sep_partials(P, Q, config.j, np.tile(starts, len(corners)))
+    dp, dq = dp.reshape(len(corners), -1), dq.reshape(len(corners), -1)
+    for g in (dp, dq):   # the lower ends, g(L+) - (g(M) - g(M0)) where split
+        g[n : 2 * n][split] -= g[:n][split] - g[2 * n :]
+    dp_hi, dq_hi = dp[:n, :, None], dq[:n, :, None]
+    dp_lo, dq_lo = dp[n : 2 * n, :, None], dq[n : 2 * n, :, None]
+    g_hi = (np.maximum(dp_lo * Cp, dp_hi * Cp) + np.maximum(dq_lo * Cq, dq_hi * Cq)).sum(axis=1)
+    g_lo = (np.minimum(dp_lo * Cp, dp_hi * Cp) + np.minimum(dq_lo * Cq, dq_hi * Cq)).sum(axis=1)
+    g_abs = dp[:n] @ np.abs(Cp) + dq[:n] @ np.abs(Cq)
+    g_abs[split] *= 3.0   # a split lower end sums three partials, each at most g(M)
+    return g_lo, g_hi, g_abs
 
 
 def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) -> np.ndarray:
@@ -294,19 +335,11 @@ def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarra
 
     f(c) + sum_k r_k max(|G_lo,k|, |G_hi,k|) + margin, where c is the box
     centre, r_k the distance from c to the farther face along free variable
-    k and [G_lo,k, G_hi,k] encloses df/dx_k on the box.  Every dS/dp_i and
-    dS/dq_i is a polynomial with nonnegative coefficients (``_sep_partials``),
-    so on a box whose block values are all nonnegative its range is its
-    values at the low and the high corner; where some block value can be
-    negative it is [-g(M), g(M)] with M the largest block magnitude, because
-    |g(x)| <= g(|x|).  The chain rule goes through the affine blocks
-    (``_chain_rule``).  All columns, every box by corner by run, go through
-    one pass.
+    k and [G_lo,k, G_hi,k] encloses df/dx_k on the box (``_gradient_bounds``,
+    from the partials at three corner sets).
 
     The bound holds for the unclipped polynomial on the whole box, so it
-    dominates every point ``Configuration.assemble`` admits there.  Its
-    overestimate shrinks quadratically with the box width, where the
-    monotone corner bound's shrinks linearly.
+    dominates every point ``Configuration.assemble`` admits there.
 
     Rounding: the result is raised by ``_round_rel(b)`` times
     S(|v(c)|) + sum_k r_k |G|_k, where |G|_k bounds the magnitudes of the
@@ -319,28 +352,10 @@ def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarra
     terms in the same order; the rounding of those affine sums is not
     covered, as in the corner bound.
     """
-    n = los.shape[0]
     j = config.j
     centre = 0.5 * (los + his)
     radius = np.maximum(his - centre, centre - los)
-    starts, Cp, Cq = _chain_rule(config)
-    nrun = len(starts)
-    vlo, vhi = config.block_ranges(los, his)
-    # high corners of every box, low corners of the nonnegative ones; each
-    # row repeated once per run, leaving out the run's first coordinate
-    signed = np.nonzero((vlo >= 0.0).all(axis=1))[0]
-    m = n + len(signed)
-    corners = np.concatenate((np.maximum(np.abs(vlo), vhi), vlo[signed]))
-    P, Q = config.spread(np.repeat(corners, nrun, axis=0))
-    dp, dq = _sep_partials(P, Q, j, np.tile(starts, m))
-    dp, dq = dp.reshape(m, nrun), dq.reshape(m, nrun)
-    dp_lo, dq_lo = -dp[:n], -dq[:n]
-    dp_lo[signed], dq_lo[signed] = dp[n:], dq[n:]
-    dp_hi, dq_hi = dp[:n, :, None], dq[:n, :, None]
-    dp_lo, dq_lo = dp_lo[:, :, None], dq_lo[:, :, None]
-    g_hi = (np.maximum(dp_lo * Cp, dp_hi * Cp) + np.maximum(dq_lo * Cq, dq_hi * Cq)).sum(axis=1)
-    g_lo = (np.minimum(dp_lo * Cp, dp_hi * Cp) + np.minimum(dq_lo * Cq, dq_hi * Cq)).sum(axis=1)
-    g_abs = dp[:n] @ np.abs(Cp) + dq[:n] @ np.abs(Cq)
+    g_lo, g_hi, g_abs = _gradient_bounds(config, los, his)
     at_centre = config.block_values(centre)
     value = sep_batch(*config.spread(at_centre), j)
     scale = value.copy()
@@ -488,13 +503,15 @@ def _best_config(
 ) -> CellMaxResult:
     """Maximize the configurations that their bounds do not prove dominated.
 
-    The configurations are visited in one pass, highest first by the largest
-    part bound of their lattice (``_lattice``, corner bounds), ties in list
-    order.  A configuration is maximized unless ``_dominated`` proves it
-    below the incumbent, and the pass stops at the first bound strictly
-    below the incumbent.  The winner has the highest value, ties to the
-    smallest ``describe()``.  With ``certify`` every maximized configuration
-    with a finite bound is certified (``_certified_supremum``).  The result
+    The points (0-dimensional configurations with a finite bound) come
+    first, one evaluation each, for an attained incumbent before any polish.
+    The others follow in one pass, highest first by the largest part bound
+    of their lattice (``_lattice``, corner bounds), ties in list order.  A
+    configuration is maximized unless ``_dominated`` proves it below the
+    incumbent, and the pass stops at the first bound strictly below the
+    incumbent.  The winner has the highest value, ties to the smallest
+    ``describe()``.  With ``certify`` every maximized configuration with a
+    finite bound is certified (``_certified_supremum``).  The result
     has selector None and exactness "attained", as the global maximum's.
     """
     lattices = [_lattice(cfg) for cfg in configs]
@@ -504,8 +521,11 @@ def _best_config(
     examined: list[tuple[Configuration, Lattice]] = []
     vacuous: list[str] = []
     unseeded: list[tuple[float, str]] = []
-    for i in sorted(range(len(configs)), key=lambda i: -roots[i]):
+    point = [not cfg.dim and np.isfinite(root) for cfg, root in zip(configs, roots)]
+    for i in sorted(range(len(configs)), key=lambda i: (not point[i], -roots[i])):
         if best is not None and roots[i] < best.value:
+            if point[i]:
+                continue
             break
         budget.check(what)
         cfg = configs[i]

@@ -26,9 +26,9 @@ is sum_m q[m] e_j(p \\ m), and with p and q swapped it is the other sum.
 one coordinate at a time over stacks of vector pairs, truncated to degree j
 in t and degree 1 in s; ``_sep_partials`` runs the same recurrence with one
 coordinate's factor left out per row, which yields the partial derivatives
-the certifier's centred-form bound needs; ``sep_naive`` enumerates tuples
-literally and serves as the verification battery's independent oracle for
-small b.
+the certifier's centred-form bound needs (both share one banded pass,
+``_generate``); ``sep_naive`` enumerates tuples literally and serves as the
+verification battery's independent oracle for small b.
 
 All monomials have nonnegative coefficients, and every coefficient update is
 a sum of products of nonnegative numbers, so evaluation involves no
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -116,34 +117,61 @@ def sep_uniform_exact(params: SepParams) -> float:
 
 
 @functools.lru_cache(maxsize=256)
-def _row_bands(b: int, j: int) -> tuple[tuple[int, slice, slice, slice, slice, slice], ...]:
-    """Per coordinate, the coefficient rows ``sep_batch``'s updates can change.
-
-    Before coordinate i, rows above i of A and above i-1 of B are still zero,
-    and once i is done, rows of B below j-(b-1-i) and rows of A below one
-    more than that can no longer reach degree j in the b-1-i coordinates
-    left.  Updating only the rows in between leaves ``B[j]`` bit-identical
-    to the update of every row: the skipped terms add exact zeros or only
-    feed rows that are never read again.
-    """
+def _row_bands(b: int, ja: int, jb: int) -> tuple[tuple[int, slice, slice, slice, slice, slice], ...]:
+    """Per coordinate, the rows of A and B (``_generate``) that can still
+    change ``A[ja]`` or ``B[jb]``; ``A[0]`` is 1, so ``ja = 0`` reads ``B[jb]``
+    alone.  Before coordinate i, rows above i of A and above i-1 of B are
+    still zero; with r = b-1-i coordinates left after it, rows of B below
+    jb - r, and of A below ja - r or jb + 1 - r, can no longer reach them.
+    Updating only the rows in between leaves both bit-identical to the update
+    of every row: the skipped terms add exact zeros or feed no row read."""
     bands = []
     for i in range(b):
-        lo, top = max(0, j - (b - 1 - i)), min(i, j)
-        s, top_a = max(lo, 1), min(i + 1, j)
+        r = b - 1 - i
+        lo, top = max(0, jb - r), min(i, jb)
+        s, lo_a, top_a = max(lo, 1), max(1, ja - r, jb + 1 - r), min(i + 1, max(ja, jb))
         bands.append((i, slice(s, top + 1), slice(s - 1, top), slice(lo, top + 1),
-                      slice(lo + 1, top_a + 1), slice(lo, top_a)))
+                      slice(lo_a, top_a + 1), slice(lo_a - 1, top_a)))
     return tuple(bands)
+
+
+def _generate(P: np.ndarray, Q: np.ndarray, ja: int, jb: int,
+              drop: np.ndarray | None = None) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The pass behind ``sep_batch`` and ``_sep_partials``: per chunk of
+    ``_BATCH_CHUNK`` rows, its first row, its size n and the coefficients of
+    prod_i (1 + V_i t + W_i s), V = [P; Q] against W = [Q; P], without the
+    factor of coordinate ``drop[r]`` in row r of both stacks if given:
+    ``A[a]`` is the [t^a s^0] one and ``B[a]`` the [t^a s^1] one, and only
+    ``A[ja]`` and ``B[jb]`` are complete (``_row_bands``)."""
+    N, b = P.shape
+    for lo in range(0, N, _BATCH_CHUNK):
+        hi = min(lo + _BATCH_CHUNK, N)
+        n = hi - lo
+        V = np.concatenate((P[lo:hi], Q[lo:hi])).T.copy()   # (b, 2n), one row per coordinate
+        W = np.concatenate((V[:, n:], V[:, :n]), axis=1)
+        if drop is not None:
+            at = (np.concatenate((drop[lo:hi], drop[lo:hi])), np.arange(2 * n))
+            V[at] = W[at] = 0.0
+        A = np.zeros((max(ja, jb) + 1, 2 * n))
+        A[0] = 1.0
+        B = np.zeros((jb + 1, 2 * n))
+        for i, b_to, b_from, b_rows, a_to, a_from in _row_bands(b, ja, jb):
+            v = V[i]
+            # right-hand sides are evaluated before the in-place add, so
+            # every update reads the coefficients of the previous coordinate
+            B[b_to] += v * B[b_from]
+            B[b_rows] += W[i] * A[b_rows]
+            A[a_to] += v * A[a_from]
+        yield lo, n, A, B
 
 
 def sep_batch(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
     """S_j over stacks of vector pairs via the generating polynomial.
 
-    P, Q have shape (N, b) with rows paired; returns shape (N,).  Each chunk
-    stacks V = [P; Q] against W = [Q; P] and multiplies out
+    P, Q have shape (N, b) with rows paired; returns shape (N,).  The pass
+    (``_generate``) stacks V = [P; Q] against W = [Q; P] and multiplies out
     prod_i (1 + V_i t + W_i s) one coordinate at a time, truncated to degree
-    j in t and degree 1 in s: ``A[a]`` holds the [t^a s^0] coefficient and
-    ``B[a]`` the [t^a s^1] one, each update restricted to the rows that can
-    still change ``B[j]`` (``_row_bands``).  The first half of ``B[j]`` is then
+    j in t and degree 1 in s.  The first half of ``B[j]`` is then
     sum_m q[m] e_j(p \\ m) and the second half sum_m p[m] e_j(q \\ m); they
     swap under P <-> Q and are added last, so the result is exactly
     symmetric in P and Q.  Every update adds products of nonnegative numbers,
@@ -154,25 +182,10 @@ def sep_batch(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
     Q = np.ascontiguousarray(Q, dtype=float)
     if P.shape != Q.shape or P.ndim != 2:
         raise DimensionMismatch(f"paired stacks required, got {P.shape} and {Q.shape}")
-    N, b = P.shape
     jf = float(math.factorial(j))
-    out = np.empty(N)
-    for lo in range(0, N, _BATCH_CHUNK):
-        hi = min(lo + _BATCH_CHUNK, N)
-        n = hi - lo
-        V = np.concatenate((P[lo:hi], Q[lo:hi])).T.copy()   # (b, 2n), one row per coordinate
-        W = np.concatenate((V[:, n:], V[:, :n]), axis=1)
-        A = np.zeros((j + 1, 2 * n))
-        A[0] = 1.0
-        B = np.zeros((j + 1, 2 * n))
-        for i, b_to, b_from, b_rows, a_to, a_from in _row_bands(b, j):
-            v = V[i]
-            # right-hand sides are evaluated before the in-place add, so
-            # every update reads the coefficients of the previous coordinate
-            B[b_to] += v * B[b_from]
-            B[b_rows] += W[i] * A[b_rows]
-            A[a_to] += v * A[a_from]
-        out[lo:hi] = jf * (B[j, :n] + B[j, n:])
+    out = np.empty(P.shape[0])
+    for lo, n, _A, B in _generate(P, Q, 0, j):
+        out[lo : lo + n] = jf * (B[j, :n] + B[j, n:])
     return out
 
 
@@ -186,27 +199,14 @@ def _sep_partials(P: np.ndarray, Q: np.ndarray, j: int, drop: np.ndarray) -> tup
         dS_j/dp_i = j! * ([t^(j-1) s^1] R_i + [t^j s^0] R'_i)
         dS_j/dq_i = j! * ([t^j s^0] R_i + [t^(j-1) s^1] R'_i) .
 
-    Zeroing both p_i and q_i in a column drops its factor, so the same
-    stacked recurrence as ``sep_batch`` (V = [P; Q] against W = [Q; P],
-    truncated to t-degree j in the s^0 part and j-1 in the s^1 part) yields every
-    row's two coefficients from one pass over the b coordinates, whatever
-    coordinate each row leaves out.  Both partials are polynomials with
-    nonnegative coefficients in the remaining entries.
+    Zeroing both p_i and q_i in a column drops its factor, so the pass of
+    ``sep_batch`` (``_generate``, reading ``A[j]`` and ``B[j-1]``) yields
+    every row's two coefficients, whatever coordinate each row leaves out.  Both partials are polynomials with nonnegative coefficients in the
+    remaining entries.
     """
-    n, b = P.shape
-    V = np.concatenate((P, Q)).T.copy()   # (b, 2n), one row per coordinate
-    W = np.concatenate((V[:, n:], V[:, :n]), axis=1)
-    cols = np.arange(2 * n)
-    V[np.concatenate((drop, drop)), cols] = 0.0
-    W[np.concatenate((drop, drop)), cols] = 0.0
-    A = np.zeros((j + 1, 2 * n))
-    A[0] = 1.0
-    B = np.zeros((j, 2 * n))
-    for i in range(b):
-        top_b, top_a = min(i, j - 1), min(i + 1, j)
-        v = V[i]
-        B[1 : top_b + 1] += v * B[:top_b]
-        B[: top_b + 1] += W[i] * A[: top_b + 1]
-        A[1 : top_a + 1] += v * A[:top_a]
     jf = float(math.factorial(j))
-    return jf * (B[j - 1, :n] + A[j, n:]), jf * (A[j, :n] + B[j - 1, n:])
+    dp, dq = np.empty(P.shape[0]), np.empty(P.shape[0])
+    for lo, n, A, B in _generate(P, Q, j, j - 1, drop):
+        dp[lo : lo + n] = jf * (B[j - 1, :n] + A[j, n:])
+        dq[lo : lo + n] = jf * (A[j, :n] + B[j - 1, n:])
+    return dp, dq

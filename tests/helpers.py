@@ -8,10 +8,12 @@ oracle evaluates the separation polynomial exactly in ``Fraction``, the cell
 predicates test one vector at a time where the sampler masks whole batches,
 the rejection reference keeps uniform simplex draws where the sampler
 constructs cell members directly, and the hash-code checker compares symbol
-bitmasks where the engine compares symbol sets.  Three exceptions:
-``sep_by_full_generating_pass`` repeats ``sep_batch``'s arithmetic on
-purpose, without its row restriction, so that a test can require the two to
-agree bit for bit; ``dense_scan_max``, a reference for the optimizer's
+bitmasks where the engine compares symbol sets.  The exceptions:
+``sep_by_full_generating_pass`` and ``sep_partials_unbanded`` repeat the
+arithmetic of ``sep_batch`` and ``_sep_partials`` on purpose, without their
+row restriction, and ``pick_seeds_loop`` repeats the seed choice of the
+local search one candidate at a time, so that a test can require each pair
+to agree bit for bit; ``dense_scan_max``, a reference for the optimizer's
 search rather than for the evaluator, evaluates with ``sep_batch``;
 ``root_bound`` reads the optimizer's own lattice bounds; and
 ``best_config_exhaustive``, a reference for the optimizer's pruning, runs
@@ -78,6 +80,43 @@ def sep_by_full_generating_pass(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndar
         B += W[i] * A
         A[1:] += V[i] * A[:-1]
     return float(math.factorial(j)) * (B[j, :n] + B[j, n:])
+
+
+def sep_partials_unbanded(P: np.ndarray, Q: np.ndarray, j: int, drop: np.ndarray):
+    """``_sep_partials``'s recurrence with every coefficient row below the
+    read degrees updated and no chunking: the reference for its row
+    restriction, which must not change a single bit."""
+    n, b = P.shape
+    V = np.concatenate((P, Q)).T.copy()
+    W = np.concatenate((V[:, n:], V[:, :n]), axis=1)
+    cols = np.arange(2 * n)
+    V[np.concatenate((drop, drop)), cols] = 0.0
+    W[np.concatenate((drop, drop)), cols] = 0.0
+    A = np.zeros((j + 1, 2 * n))
+    A[0] = 1.0
+    B = np.zeros((j, 2 * n))
+    for i in range(b):
+        top_b, top_a = min(i, j - 1), min(i + 1, j)
+        B[1 : top_b + 1] += V[i] * B[:top_b]
+        B[: top_b + 1] += W[i] * A[: top_b + 1]
+        A[1 : top_a + 1] += V[i] * A[:top_a]
+    jf = float(math.factorial(j))
+    return jf * (B[j - 1, :n] + A[j, n:]), jf * (A[j, :n] + B[j - 1, n:])
+
+
+def pick_seeds_loop(X: np.ndarray, vals: np.ndarray, cell: np.ndarray, count: int) -> np.ndarray:
+    """The local search's seed choice one candidate at a time: best first,
+    stopping at the first value that is not finite, each pick more than two
+    cells away from every earlier one along some axis."""
+    seeds: list[int] = []
+    for i in np.argsort(vals)[::-1]:
+        if not np.isfinite(vals[i]):
+            break
+        if all(np.any(np.abs(X[i] - X[s]) > 2.0 * cell) for s in seeds):
+            seeds.append(i)
+            if len(seeds) >= count:
+                break
+    return np.array(seeds, dtype=int)
 
 
 def sep_by_convolution(p, q, j: int) -> float:

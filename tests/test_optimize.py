@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -22,16 +24,19 @@ from hashbound.optimize import (
     _centred_bounds_batch,
     _certified_supremum,
     _bisect,
+    _chain_rule,
+    _gradient_bounds,
     _lattice,
+    _pick_seeds,
     _root_box,
     compute_all_cell_maxima,
     compute_cell_max,
     global_form_max,
     maximize_config,
 )
-from hashbound.seppoly import sep_batch, sep_uniform_exact, SepParams
+from hashbound.seppoly import _sep_partials, sep_batch, sep_uniform_exact, SepParams
 
-from helpers import best_config_exhaustive, dense_scan_max, root_bound
+from helpers import best_config_exhaustive, dense_scan_max, pick_seeds_loop, root_bound
 
 
 def test_zero_dim_config_is_exact():
@@ -96,12 +101,16 @@ def test_certified_mode_small_excess():
 
 
 def test_certify_node_cap_is_reported(monkeypatch):
-    # on the (6,6) preset the same-tag search stops at its node cap with a
-    # slack above the requested tolerance; the cross-tag one finishes
+    # on the (6,6) preset the same-tag search, held to 1,000 nodes, stops at
+    # its node cap with a slack above the requested tolerance; the cross-tag
+    # one finishes under the default cap
     from hashbound import combiner, presets
 
     pre = presets.PARTITION_PRESETS[(6, 6)]
-    capped = compute_cell_max(pre.spec(), CellPair.TAGGED_SAME, 6, pre.j, certify=True)
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_certified_supremum",
+                  functools.partial(optimize._certified_supremum, max_nodes=1000))
+        capped = compute_cell_max(pre.spec(), CellPair.TAGGED_SAME, 6, pre.j, certify=True)
     assert capped.certify_capped
     assert capped.certified_excess > 1e-5
     done = compute_cell_max(pre.spec(), CellPair.TAGGED_CROSS, 6, pre.j, certify=True)
@@ -118,6 +127,17 @@ def test_certify_node_cap_is_reported(monkeypatch):
     monkeypatch.setattr(combiner, "compute_all_cell_maxima", with_certified_tags)
     rep = combiner.full_bound(6, 6, pre.j, pre.spec())
     assert [f for f in rep.flags if f.endswith(":certify-node-cap")] == ["m3:certify-node-cap"]
+
+
+def test_six_six_same_tag_excess_under_default_cap():
+    # the sign-split gradient enclosure bounds the boxes on the diagonal
+    # feasibility edge, where an eliminated block reaches 0, tightly enough
+    # that the default cap leaves a slack of at most 1e-8
+    from hashbound import presets
+
+    pre = presets.PARTITION_PRESETS[(6, 6)]
+    res = compute_cell_max(pre.spec(), CellPair.TAGGED_SAME, 6, pre.j, certify=True)
+    assert 0.0 <= res.certified_excess <= 1e-8
 
 
 def test_five_five_certifies_every_cell_without_cap():
@@ -205,6 +225,74 @@ def test_centred_bound_dominates_sampled_points():
             P, Q, _feas = cfg.assemble(X)
             assert bound >= sep_batch(P, Q, cfg.j).max(), (cfg.describe(), lo, hi)
     assert crossing >= 100
+
+
+def test_split_gradient_enclosure_contains_sampled_partials():
+    # boxes where some block range reaches below its band edge at 0: the
+    # gradient of the unclipped polynomial at 2,000 points and the corners of
+    # each box, by the chain rule over the partials there, lies inside the
+    # sign-split enclosure
+    rng = np.random.default_rng(43)
+    cases = []
+    for cfg in (c for c in _preset_and_sweep_configurations() if c.dim):
+        los, his, _bounds = _lattice(cfg)
+        below = np.nonzero((cfg.block_ranges(los, his)[0] < 0.0).any(axis=1))[0]
+        cases += [(cfg, los[i], his[i]) for i in rng.permutation(below)[:2]]
+    for _ in range(30):
+        cfg = _swinging_configuration(rng)
+        cases += [(cfg, lo, hi) for lo, hi in _sub_boxes(rng, *_root_box(cfg))[:-1]]
+    split = 0
+    for cfg, lo, hi in cases:
+        if not (cfg.block_ranges(lo[None], hi[None])[0] < 0.0).any():
+            continue
+        split += 1
+        g_lo, g_hi, g_abs = (g[0] for g in _gradient_bounds(cfg, lo[None], hi[None]))
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        X = np.vstack([np.clip(lo + (hi - lo) * rng.random((2000, cfg.dim)), lo, hi), corners])
+        starts, Cp, Cq = _chain_rule(cfg)
+        P, Q = cfg.spread(np.repeat(cfg.block_values(X), len(starts), axis=0))
+        dp, dq = _sep_partials(P, Q, cfg.j, np.tile(starts, len(X)))
+        grad = dp.reshape(len(X), -1) @ Cp + dq.reshape(len(X), -1) @ Cq
+        slack = 1e-12 * g_abs
+        assert (g_lo - slack <= grad).all() and (grad <= g_hi + slack).all(), (cfg.describe(), lo, hi)
+    assert split >= 200
+
+
+def test_pick_seeds_matches_the_greedy_loop():
+    # ties, -inf values and points exactly two cells apart: the alive mask
+    # picks the indices the one-at-a-time loop picks, in its order
+    rng = np.random.default_rng(47)
+    for d in (1, 2, 3):
+        for n in (0, 1, 5, 40, 216):
+            for count in (1, 6):
+                X = rng.integers(0, 8, (n, d)) * 0.125
+                vals = rng.integers(0, 4, n) * 0.25
+                vals[rng.random(n) < 0.3] = -np.inf
+                cell = np.full(d, 0.0625 * rng.integers(1, 3))
+                want = pick_seeds_loop(X, vals, cell, count)
+                got = _pick_seeds(X, vals, cell, count)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (d, n, count)
+
+
+#: sha256 of the pinned cells' (value, config_tag, p, q) reprs, one line each
+PINNED_CELLS = "d4959402a2d2616f2b08d719209796cca1439c48e6ee203a35eff5e56241136f"
+
+
+def test_uncertified_cells_are_pinned():
+    # value, configuration and witness of the 48 uncertified preset cells and
+    # of two eps-sweep cells off their presets, to the last bit: a change
+    # meant to speed up the search must not move any of them
+    from hashbound import presets
+
+    cells = [(pre.spec(), b, pre.j) for (b, _k), pre in sorted(presets.PARTITION_PRESETS.items())]
+    cells += [(PartitionSpec(PartitionKind.MIN_VALUE, 0.05), 6, 3),
+              (PartitionSpec(PartitionKind.MAX_VALUE, 0.093), 7, 5)]
+    digest = hashlib.sha256()
+    for spec, b, j in cells:
+        for which in CellPair:
+            res = compute_cell_max(spec, which, b, j)
+            digest.update(repr((res.value, res.config_tag, res.p, res.q)).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_CELLS
 
 
 def test_block_ranges_enclose_block_values():

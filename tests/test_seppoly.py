@@ -17,7 +17,13 @@ from hashbound.seppoly import (
     sep_uniform_fraction,
 )
 
-from helpers import sep_by_convolution, sep_by_full_generating_pass, sep_fraction, sep_naive_batch
+from helpers import (
+    sep_by_convolution,
+    sep_by_full_generating_pass,
+    sep_fraction,
+    sep_naive_batch,
+    sep_partials_unbanded,
+)
 
 
 def _one_row(p, q, j: int) -> float:
@@ -158,6 +164,24 @@ def test_row_bands_leave_result_bit_identical():
         P[rng.random((40, b)) < 0.25] = 0.0
         for j in range(b):
             assert np.array_equal(sep_batch(P, Q, j), sep_by_full_generating_pass(P, Q, j)), (b, j)
+
+
+def test_banded_partials_are_bit_identical_to_the_full_recurrence():
+    # rows around one chunk, every b and j, random left-out coordinates and
+    # zero entries: the row restriction and the chunking change no bit
+    rng = np.random.default_rng(29)
+    for b in range(3, 16):
+        N = _BATCH_CHUNK + 1
+        P = rng.random((N, b))
+        Q = rng.random((N, b))
+        P[rng.random((N, b)) < 0.25] = 0.0
+        Q[rng.random((N, b)) < 0.25] = 0.0
+        drop = rng.integers(0, b, N)
+        for j in range(1, b):
+            for n in (_BATCH_CHUNK - 1, _BATCH_CHUNK, _BATCH_CHUNK + 1):
+                got = _sep_partials(P[:n], Q[:n], j, drop[:n])
+                want = sep_partials_unbanded(P[:n], Q[:n], j, drop[:n])
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), (b, j, n)
 
 
 def test_sep_partials_match_exact_differences():
