@@ -16,25 +16,25 @@ Every configuration's box is cut once, into a uniform lattice of parts with
 corner bounds (``_lattice``).  ``_best_config`` evaluates the points
 (0-dimensional configurations) first, for an attained incumbent, then visits
 the others in one pass, highest lattice bound first, and maximizes only
-those that bisecting their parts twice over does not prove dominated
-(``_dominated``, the one place besides the certifier that applies the
-centred form).  The winner is the same as a search of every configuration
-would give: highest value, ties broken by the smallest
+those that the branch-and-bound (``_certified_supremum``), held to 2 * dim
+bisections below each part, does not bound strictly below the incumbent
+(``_dominated``).  The winner is the same as a search of every
+configuration would give: highest value, ties broken by the smallest
 ``Configuration.describe()``.  ``maximize_config`` evaluates the part centres
 of each configuration it is handed, once, and polishes the best few admitted
 ones by a deterministic shrinking local search down to step 1e-12.  A
 configuration whose lattice bound lies above the maximum but whose lattice
 admits no centre is listed in ``CellMaxResult.unsearched``.
 
-Certification is optional.  The certified mode of ``compute_cell_max`` runs a
-branch-and-bound (``_certified_supremum``) per maximized configuration whose
-bound is finite, from the lattice parts, with its open boxes in arrays,
-bisected several levels deep per ``_box_bounds`` call.  A box is not split
-further once its bound lies within a tolerance, relative to the cell maximum,
-of that maximum; the largest such bound still counts, so the certified value
-never falls below a value the configuration attains, even where the local
-search found no admitted point to start from.  A search that hits its node
-cap still returns a valid but looser bound and says so in
+Certification is optional.  The certified mode of ``compute_cell_max`` runs
+the same branch-and-bound, with no depth limit, per maximized configuration
+whose bound is finite, from the lattice parts, with its open boxes in
+arrays, bisected several levels deep per ``_box_bounds`` call.  A box is not
+split further once its bound lies within a tolerance, relative to the cell
+maximum, of that maximum; the largest such bound still counts, so the
+certified value never falls below a value the configuration attains, even
+where the local search found no admitted point to start from.  A search that
+hits its node cap still returns a valid but looser bound and says so in
 ``CellMaxResult.certify_capped``.
 
 The max partition's m2 and the min partition's m4 range over the global
@@ -127,7 +127,6 @@ class CellMaxResult:
     q: tuple[float, ...]
     exactness: str
     certified_excess: float = 0.0
-    vacuous_families: tuple[str, ...] = ()
     certify_capped: bool = False
     unsearched: tuple[str, ...] = ()
 
@@ -232,7 +231,7 @@ def maximize_config(
 
 
 _ROOT_SPLITS = {0: 1, 1: 32, 2: 16, 3: 6}  # parts per axis of a configuration's lattice, by dimension
-_PRUNE_BATCH = 256  # most boxes ``_dominated`` and the certifier bound in one call, one 2-D lattice
+_PRUNE_BATCH = 256  # most boxes the certifier bounds in one call, one 2-D lattice
 
 
 def _root_box(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
@@ -413,31 +412,11 @@ def _bisect(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dominated(config: Configuration, lattice: Lattice, incumbent: float) -> bool:
-    """True when every grandchild of the lattice parts whose bound is not
-    below ``incumbent`` bounds strictly below it (``_box_bounds``, the
-    incumbent as floor).  A round bisects each box ``dim`` times
-    (``_bisect``), so it halves a box of equal widths along every axis, and
-    the second round splits only the children that the first left at or
-    above the incumbent.  The boxes go depth first from the highest part, at
-    most ``_PRUNE_BATCH`` children a call, and the first grandchild at or
-    above the incumbent ends the search."""
-    los, his, bounds = lattice
-    top = np.argsort(-bounds)[: int((bounds >= incumbent).sum())]
-    step = max(1, _PRUNE_BATCH >> config.dim)
-    work = [(los[top], his[top], 2)]
-    while work:
-        los, his, rounds = work.pop()
-        if len(los) > step:
-            work.append((los[step:], his[step:], rounds))
-        child_lo, child_hi = los[:step], his[:step]
-        for _ in range(config.dim):
-            child_lo, child_hi = _bisect(child_lo, child_hi)
-        keep = _box_bounds(config, child_lo, child_hi, incumbent) >= incumbent
-        if keep.any():
-            if rounds == 1:
-                return False
-            work.append((child_lo[keep], child_hi[keep], rounds - 1))
-    return True
+    """True when the certifier, held to ``2 * dim`` bisections below each
+    lattice part, bounds every box strictly below ``incumbent``."""
+    sup, capped = _certified_supremum(config, np.nextafter(incumbent, -np.inf), lattice,
+                                      tol=0.0, max_depth=2 * config.dim)
+    return not capped and sup < incumbent
 
 
 def _certified_supremum(
@@ -447,6 +426,7 @@ def _certified_supremum(
     *,
     tol: float = 1e-5,
     max_nodes: int = 20000,
+    max_depth: int | None = None,
     budget: Budget = NO_BUDGET,
 ) -> tuple[float, bool]:
     """Rigorous upper bound on the configuration supremum via branch-and-bound.
@@ -454,41 +434,48 @@ def _certified_supremum(
     ``lower`` is the incumbent to certify against (typically the best value
     found across all configurations) and ``lattice`` the configuration's
     lattice (``_lattice``), whose parts are the first boxes.  A box is closed
-    once its bound is at most lower + tol or it is narrower than 1e-12.  Each
+    once its bound is at most lower + tol or it is narrower than 1e-12 along
+    every axis, so a point closes at once with its value as its bound.  Each
     step bisects the ``_PRUNE_BATCH // 2`` open boxes with the highest bounds
     across their widest axis, and again while the children fit in
     ``_PRUNE_BATCH``, and bounds the children in one ``_box_bounds`` call
     with the floor lower + tol.  Each bisection is one of ``max_nodes``.
+    Every open box counts its bisections below its lattice part, and one
+    open box ``max_depth`` or more deep stops the search as the cap does;
+    the prune (``_dominated``) runs this search with such a depth limit, the
+    certification without one.
 
     Returns the largest of ``lower``, the bound of every closed box and, at
-    the node cap, of every box still open: a valid upper bound on the
-    configuration supremum, at most lower + tol unless the cap was hit or a
-    too narrow box had a larger bound.  Also returns whether the cap was hit.
+    a cap, of every box still open: a valid upper bound on the configuration
+    supremum, at most lower + tol unless a cap was hit or a too narrow box
+    had a larger bound.  Also returns whether a cap was hit.
     """
     los, his, bounds = lattice
-    if config.dim == 0:  # the bound of a point is its value
-        return max(lower, float(bounds[0])), False
+    depth = np.zeros(len(bounds), dtype=int)
     cut = lower + tol
 
-    def close(los, his, bounds, kept):  # the open boxes; kept raised to every other's bound
-        open_ = (bounds > cut) & ((his - los).max(axis=1) >= _REFINE_STEP)
-        return los[open_], his[open_], bounds[open_], float(bounds.max(where=~open_, initial=kept))
+    def close(los, his, bounds, depth, kept):  # the open boxes; kept raised to every other's bound
+        open_ = (bounds > cut) & ((his - los) >= _REFINE_STEP).any(axis=1)
+        return (los[open_], his[open_], bounds[open_], depth[open_],
+                float(bounds.max(where=~open_, initial=kept)))
 
-    los, his, bounds, kept = close(los, his, bounds, lower)
+    los, his, bounds, depth, kept = close(los, his, bounds, depth, lower)
     nodes = 0
-    while len(bounds) and nodes < max_nodes:
+    while len(bounds) and nodes < max_nodes and (max_depth is None or depth.max() < max_depth):
         budget.check("certification")
         order = np.argsort(-bounds, kind="stable")
         top, rest = order[: _PRUNE_BATCH // 2], order[_PRUNE_BATCH // 2:]
-        child_lo, child_hi = los[top], his[top]
+        child_lo, child_hi, child_depth = los[top], his[top], depth[top]
         while 2 * len(child_lo) <= _PRUNE_BATCH:
             nodes += len(child_lo)
             child_lo, child_hi = _bisect(child_lo, child_hi)
-        child_lo, child_hi, child, kept = close(
-            child_lo, child_hi, _box_bounds(config, child_lo, child_hi, cut), kept)
+            child_depth = np.tile(child_depth, 2) + 1
+        child_lo, child_hi, child, child_depth, kept = close(
+            child_lo, child_hi, _box_bounds(config, child_lo, child_hi, cut), child_depth, kept)
         los, his = np.concatenate((los[rest], child_lo)), np.concatenate((his[rest], child_hi))
         bounds = np.concatenate((bounds[rest], child))
-    if len(bounds):  # node cap hit: the open boxes bound what is left
+        depth = np.concatenate((depth[rest], child_depth))
+    if len(bounds):  # a cap hit: the open boxes bound what is left
         return max(kept, float(bounds.max())), True
     return kept, False
 
@@ -519,7 +506,6 @@ def _best_config(
     best: ConfigMax | None = None
     best_cfg: Configuration | None = None
     examined: list[tuple[Configuration, Lattice]] = []
-    vacuous: list[str] = []
     unseeded: list[tuple[float, str]] = []
     point = [not cfg.dim and np.isfinite(root) for cfg, root in zip(configs, roots)]
     for i in sorted(range(len(configs)), key=lambda i: (not point[i], -roots[i])):
@@ -529,10 +515,7 @@ def _best_config(
             break
         budget.check(what)
         cfg = configs[i]
-        if not np.isfinite(roots[i]):
-            vacuous.append(cfg.describe())
-            continue
-        if best is not None and cfg.dim and _dominated(cfg, lattices[i], best.value):
+        if best is not None and _dominated(cfg, lattices[i], best.value):
             continue
         examined.append((cfg, lattices[i]))
         res = maximize_config(cfg, lattices[i], budget=budget)
@@ -563,7 +546,6 @@ def _best_config(
         q=best.q,
         exactness="attained",
         certified_excess=max(0.0, certified - best.value),
-        vacuous_families=tuple(vacuous),
         certify_capped=capped,
         unsearched=tuple(tag for root, tag in unseeded if root > best.value),
     )
@@ -599,13 +581,11 @@ def compute_cell_max(
     certified to within ``cert_tol`` times |maximum| of the maximum
     (``_certified_supremum``), whether or not its lattice seeded a search,
     except those ``_dominated`` pruned: the prune bounded them strictly below
-    an incumbent no larger than the maximum.
-    ``vacuous_families`` lists the configurations whose root bound proves
-    they have no feasible point; configurations skipped as dominated are not
-    among them.  ``unsearched`` lists those whose root bound lies above the
-    maximum but whose lattice seeded no search.  The two selectors whose
-    families are the global ones read the memoised global maximum
-    (``global_form_max``) once the spec is validated.
+    an incumbent no larger than the maximum.  ``unsearched`` lists the
+    configurations whose root bound lies above the maximum but whose lattice
+    seeded no search.  The two selectors whose families are the global ones
+    read the memoised global maximum (``global_form_max``) once the spec is
+    validated.
     """
     if _FAMILIES[(spec.kind, which)] is _global_max_families:
         spec.validate(b, j)
