@@ -2,8 +2,8 @@
 
 * subdomain sampling: lower-bounds each cell-pair maximum with true members
   of the cell pair, so engine values can be validated from below; the cells
-  are drawn by direct constructions, and the exact membership predicates
-  still filter every row;
+  are drawn by direct constructions into coordinate-major buffers (one row
+  per coordinate), and the exact membership predicates still filter every row;
 * the (b,k)-hash property checker and an exhaustive tiny-length code search,
   grounding the definitions the asymptotic bounds speak about;
 * sampled inequality suites for the four exchange/merge lemmas the
@@ -37,55 +37,66 @@ _DOMINANCE_SLACK = 1e-9
 
 
 def _bulk_mask(V: np.ndarray, spec: PartitionSpec) -> np.ndarray:
+    C = V.T   # one row per coordinate, contiguous for the draws below
     if spec.kind is PartitionKind.MAX_VALUE:
-        return (V <= 1.0 - spec.eps).all(axis=1)
-    return (V >= spec.eps).all(axis=1)
+        return (C <= 1.0 - spec.eps).all(axis=0)
+    return (C >= spec.eps).all(axis=0)
 
 
 def _tagged_mask(V: np.ndarray, spec: PartitionSpec, i: int) -> np.ndarray:
+    C = V.T
+    vi = C[i]
     if spec.kind is PartitionKind.MAX_VALUE:
-        return V[:, i] > 1.0 - spec.eps
-    vi = V[:, i]
-    ok = (vi < spec.eps) & (V >= vi[:, None]).all(axis=1)
+        return vi > 1.0 - spec.eps
+    ok = (vi < spec.eps) & (C >= vi).all(axis=0)
     if i > 0:
-        ok &= (V[:, :i] > vi[:, None]).all(axis=1)
+        ok &= (C[:i] > vi).all(axis=0)
     return ok
 
 
-def _with_column(rest: np.ndarray, i: int, col: np.ndarray) -> np.ndarray:
-    """``rest`` with ``col`` inserted as column i."""
-    return np.concatenate((rest[:, :i], col[:, None], rest[:, i:]), axis=1)
-
-
 def _draw_bulk(rng: np.random.Generator, spec: PartitionSpec, b: int, n: int) -> np.ndarray:
-    V = rng.dirichlet(np.ones(b), size=n)
+    # one row per coordinate; the buffer is made before the row-major draw
+    # it outlives, an order that keeps peak memory lower
+    V = np.empty((b, n))
+    V[...] = rng.dirichlet(np.ones(b), size=n).T
     if spec.kind is PartitionKind.MIN_VALUE:
         # {v >= eps} is the simplex scaled by 1 - b eps about eps 1
-        V = spec.eps + (1.0 - b * spec.eps) * V
-    return V[_bulk_mask(V, spec)]
+        V *= 1.0 - b * spec.eps
+        V += spec.eps
+    ok = _bulk_mask(V.T, spec)
+    return V.T if ok.all() else V.T[ok]
 
 
 def _draw_tagged(rng: np.random.Generator, spec: PartitionSpec, b: int, i: int, n: int) -> np.ndarray:
+    # one row per coordinate: the other b - 1 fill rows 1.. and the rows
+    # before i then move up one, leaving row i to the tagged coordinate
+    V = np.empty((b, n))
+    u = rng.random(n)
+    rest = V[1:]
+    rest[...] = rng.dirichlet(np.ones(b - 1), size=n).T
     if spec.kind is PartitionKind.MAX_VALUE:
-        top = 1.0 - spec.eps + spec.eps * rng.random(n)
-        rest = rng.dirichlet(np.ones(b - 1), size=n) * (1.0 - top)[:, None]
-        V = _with_column(rest, i, top)
+        vi = 1.0 - spec.eps + spec.eps * u
+        rest *= 1.0 - vi
     else:
         # v -> (m = v_i, v - m): the minimum m has density proportional to
         # (1 - b m)^(b-2) on [0, eps), drawn by inverse CDF; given m, the
         # rest is m plus the simplex scaled by 1 - b m
         scale = -np.expm1((b - 1) * math.log1p(-b * spec.eps))
-        m = -np.expm1(np.log1p(-scale * rng.random(n)) / (b - 1)) / b
-        rest = m[:, None] + (1.0 - b * m)[:, None] * rng.dirichlet(np.ones(b - 1), size=n)
-        V = _with_column(rest, i, m)
-    return V[_tagged_mask(V, spec, i)]
+        vi = -np.expm1(np.log1p(-scale * u) / (b - 1)) / b
+        rest *= 1.0 - b * vi
+        rest += vi
+    V[:i] = V[1 : i + 1]
+    V[i] = vi
+    ok = _tagged_mask(V.T, spec, i)
+    return V.T if ok.all() else V.T[ok]
 
 
+#: per selector, the tagged coordinate of each side's cell (None: the bulk)
 _SELECTOR_CELLS = {
-    CellPair.BULK_BULK: ("bulk", "bulk"),
-    CellPair.BULK_TAGGED: ("bulk", "tag0"),
-    CellPair.TAGGED_SAME: ("tag0", "tag0"),
-    CellPair.TAGGED_CROSS: ("tag0", "tag1"),
+    CellPair.BULK_BULK: (None, None),
+    CellPair.BULK_TAGGED: (None, 0),
+    CellPair.TAGGED_SAME: (0, 0),
+    CellPair.TAGGED_CROSS: (0, 1),
 }
 
 
@@ -134,24 +145,27 @@ def sample_subdomain(
 
     The max tagged cell i takes v_i uniform on [1 - eps, 1) and the rest
     (1 - v_i) w, which weights v_i = 1 more than the uniform law does.
-    The exact membership predicates (strict inequalities included) stay the
-    final filter, so every evaluated row is a true member; rows one side has
-    to spare wait for the other side.  If, after max(1e5, 10 count) draws
-    per side, fewer than one in 10^4 of them were evaluated, sampling stops
-    and the report is inconclusive rather than an error.
+    Draws are built in place, coordinate-major, and reach ``sep_batch`` as
+    (n, b) views.  The exact membership predicates (strict inequalities
+    included) stay the final filter, so every evaluated row is a true member;
+    rows one side has to spare wait for the other side.  If, after
+    max(1e5, 10 count) draws per side, fewer than one in 10^4 of them were
+    evaluated, sampling stops and the report is inconclusive rather than an
+    error.
     """
     spec.validate(b, j)
     if count < 1:
         raise ValueError("count must be >= 1")
     ss = np.random.SeedSequence(seed)
     rng_p, rng_q = (np.random.Generator(np.random.PCG64(s)) for s in ss.spawn(2))
-    roles = _SELECTOR_CELLS[which]
+    tags = _SELECTOR_CELLS[which]
 
-    def draw(role: str, rng: np.random.Generator, n: int) -> np.ndarray:
-        if role == "bulk":
-            return _draw_bulk(rng, spec, b, n)
-        i = 0 if role == "tag0" else 1
-        return _draw_tagged(rng, spec, b, i, n)
+    def top_up(S: np.ndarray, tag: int | None, rng: np.random.Generator, n: int) -> np.ndarray:
+        if len(S) >= n:
+            return S
+        k = n - len(S)
+        new = _draw_bulk(rng, spec, b, k) if tag is None else _draw_tagged(rng, spec, b, tag, k)
+        return np.concatenate((S, new)) if len(S) else new
 
     best = -math.inf
     best_p = best_q = None
@@ -159,13 +173,10 @@ def sample_subdomain(
     proposed = 0
     P = Q = np.empty((0, b))
     while got < count:
-        # top up both sides to n rows; the surplus of one side waits for
-        # the other instead of being dropped
+        # top up both sides to n rows; one side's surplus waits for the other,
+        # copied out so the drawn buffers are freed first (lower peak memory)
         n = min(1 << 16, count - got)
-        if len(P) < n:
-            P = np.concatenate((P, draw(roles[0], rng_p, n - len(P))))
-        if len(Q) < n:
-            Q = np.concatenate((Q, draw(roles[1], rng_q, n - len(Q))))
+        P, Q = top_up(P, tags[0], rng_p, n), top_up(Q, tags[1], rng_q, n)
         proposed += n
         m = min(len(P), len(Q), n)
         if m:
@@ -175,7 +186,7 @@ def sample_subdomain(
                 best = float(vals[k])
                 best_p, best_q = P[k].copy(), Q[k].copy()
             got += m
-            P, Q = P[m:], Q[m:]
+            P, Q = P[m:].copy(), Q[m:].copy()
         if proposed > max(100_000, 10 * count) and got < _INCONCLUSIVE_ACCEPT_RATE * proposed:
             break
     inconclusive = got < count

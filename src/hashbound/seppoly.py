@@ -147,7 +147,8 @@ def _generate(P: np.ndarray, Q: np.ndarray, ja: int, jb: int,
     for lo in range(0, N, _BATCH_CHUNK):
         hi = min(lo + _BATCH_CHUNK, N)
         n = hi - lo
-        V = np.concatenate((P[lo:hi], Q[lo:hi])).T.copy()   # (b, 2n), one row per coordinate
+        V = np.empty((b, 2 * n))   # one row per coordinate, one copy from either memory order
+        V[:, :n], V[:, n:] = P[lo:hi].T, Q[lo:hi].T
         W = np.concatenate((V[:, n:], V[:, :n]), axis=1)
         if drop is not None:
             at = (np.concatenate((drop[lo:hi], drop[lo:hi])), np.arange(2 * n))
@@ -176,10 +177,11 @@ def sep_batch(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
     swap under P <-> Q and are added last, so the result is exactly
     symmetric in P and Q.  Every update adds products of nonnegative numbers,
     so the evaluation is cancellation-free and, rounding included, monotone
-    nondecreasing in each entry of P and Q.
+    nondecreasing in each entry of P and Q.  P and Q may come in either
+    memory order (the sampler's draws are coordinate-major); each chunk is
+    copied once, into the pass's coordinate rows.
     """
-    P = np.ascontiguousarray(P, dtype=float)
-    Q = np.ascontiguousarray(Q, dtype=float)
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     if P.shape != Q.shape or P.ndim != 2:
         raise DimensionMismatch(f"paired stacks required, got {P.shape} and {Q.shape}")
     jf = float(math.factorial(j))
@@ -201,9 +203,11 @@ def _sep_partials(P: np.ndarray, Q: np.ndarray, j: int, drop: np.ndarray) -> tup
 
     Zeroing both p_i and q_i in a column drops its factor, so the pass of
     ``sep_batch`` (``_generate``, reading ``A[j]`` and ``B[j-1]``) yields
-    every row's two coefficients, whatever coordinate each row leaves out.  Both partials are polynomials with nonnegative coefficients in the
+    every row's two coefficients, whatever coordinate each row leaves out.
+    Both partials are polynomials with nonnegative coefficients in the
     remaining entries.
     """
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     jf = float(math.factorial(j))
     dp, dq = np.empty(P.shape[0]), np.empty(P.shape[0])
     for lo, n, A, B in _generate(P, Q, j, j - 1, drop):

@@ -80,6 +80,71 @@ def test_sampling_deterministic():
     assert a == b
 
 
+# SampleReport fields of fixed-seed runs, frozen from the row-major sampler:
+# a change of memory layout must leave the random stream and every float as
+# they are.  Cases: all selectors on a min and a max partition, a 70,000-row
+# run (two top-up passes, the tagged side's surplus carried over), count 1,
+# and a max bulk cell that rejects about a third of its draws.
+_MIN, _MAX = PartitionKind.MIN_VALUE, PartitionKind.MAX_VALUE
+_PINNED_SAMPLES = [
+    ((_MIN, 0.05, 6, 3, CellPair.BULK_BULK, 777, 11),
+     (777, 0.551702667515932, False,
+      (0.19789226466470367, 0.19360941405248555, 0.1710859225996581, 0.1745036877731903, 0.16941727163694337, 0.093491439273019),
+      (0.1464798747033655, 0.10271516083459659, 0.17987009851094327, 0.19788682413506592, 0.15191555385380606, 0.22113248796222268))),
+    ((_MIN, 0.05, 6, 3, CellPair.BULK_TAGGED, 777, 11),
+     (777, 0.5313853522317342, False,
+      (0.2665832263765635, 0.07744354612076397, 0.09806779058144893, 0.0846944612279592, 0.1704286916880889, 0.3027822840051753),
+      (0.0403569728947033, 0.226322775036873, 0.20939682502369392, 0.27704964208749727, 0.09937639906063223, 0.14749738589660039))),
+    ((_MIN, 0.05, 6, 3, CellPair.TAGGED_SAME, 777, 11),
+     (777, 0.4678156833778307, False,
+      (0.04992022665465743, 0.19229635935356065, 0.25443089247089007, 0.24909930031586383, 0.10521397599389368, 0.14903924521113437),
+      (0.04962444201017016, 0.11188127365934095, 0.13792762741433423, 0.11780832178035702, 0.30691273303195965, 0.27584560210383785))),
+    ((_MIN, 0.05, 6, 3, CellPair.TAGGED_CROSS, 777, 11),
+     (777, 0.530621386630275, False,
+      (0.030150026237280966, 0.24930510926303573, 0.32083443072726076, 0.11767213383815699, 0.21267541977038976, 0.0693628801638758),
+      (0.30977122615294017, 0.0072197302160997906, 0.036240291737975196, 0.2567433091030848, 0.16126177648002865, 0.22876366630987136))),
+    ((_MAX, 0.09, 7, 5, CellPair.BULK_BULK, 777, 12),
+     (777, 0.06795651294492397, False,
+      (0.09528902963122513, 0.12965659765428147, 0.271529718085287, 0.1121933677181246, 0.11659777592404132, 0.08367264703788661, 0.19106086394915392),
+      (0.22783329259200324, 0.10168750686611615, 0.18320279957130664, 0.17651881878593365, 0.11440233522775431, 0.12417083960906748, 0.07218440734781859))),
+    ((_MAX, 0.09, 7, 5, CellPair.BULK_TAGGED, 777, 12),
+     (777, 0.0598859560848153, False,
+      (0.041663847025136806, 0.25702928233250644, 0.12955182141985827, 0.15062371384286213, 0.17692047925394125, 0.10542634156183849, 0.13878451456385651),
+      (0.9130257907463329, 0.01744267153183899, 0.022020806837538244, 0.011031494238390211, 0.01762663413732029, 0.009490013975342626, 0.009362588533236684))),
+    ((_MAX, 0.09, 7, 5, CellPair.TAGGED_SAME, 777, 12),
+     (777, 3.739330620906282e-06, False,
+      (0.9100769916702978, 0.01742155411003097, 0.0176189013030339, 0.025508016763999913, 0.006838688440439424, 0.014104731804188449, 0.008431115908009577),
+      (0.9136932587031958, 0.013525807068867697, 0.0075335334302264485, 0.026341672395712907, 0.015216788149513516, 0.01877954801956233, 0.004909392232921262))),
+    ((_MAX, 0.09, 7, 5, CellPair.TAGGED_CROSS, 777, 12),
+     (777, 4.701004402785449e-05, False,
+      (0.9230789466508044, 0.0023774167432593024, 0.006991213674959851, 0.008304630442557073, 0.031915818322935254, 0.01843822162873756, 0.008893752536746598),
+      (0.0005770128753004283, 0.9136268878656935, 0.025671061433806885, 0.009193626291726811, 0.013745492463189164, 0.009710692591844794, 0.02747522647843846))),
+    ((_MAX, 0.25, 4, 3, CellPair.BULK_TAGGED, 70000, 13),
+     (70000, 0.21314748226967473, False,
+      (0.0007818396534493265, 0.264463181638412, 0.35488737994945, 0.37986759875868853),
+      (0.996366940989399, 0.0016287927919725548, 0.0013423273508348559, 0.000661938867793548))),
+    ((_MIN, 0.05, 6, 3, CellPair.TAGGED_CROSS, 1, 14),
+     (1, 0.3813704136646518, False,
+      (0.028901502475597862, 0.29439204273866637, 0.226661050267021, 0.07347632088168796, 0.1336288972797367, 0.2429401863572902),
+      (0.13670427286718295, 0.02646310798496072, 0.22711919776108136, 0.09158633922111314, 0.0750248643655018, 0.44310221780015985))),
+    ((_MAX, 0.09, 7, 5, CellPair.BULK_BULK, 1, 15),
+     (1, 0.04838312036446161, False,
+      (0.23081075769757187, 0.05069088590104784, 0.23482951429291593, 0.10662585698455387, 0.1288693724166709, 0.12962444568917939, 0.11854916701806019),
+      (0.004239637605620074, 0.13805006559440217, 0.12038021904154804, 0.09488011464405859, 0.10172313830447607, 0.4329596120801458, 0.10776721272974946))),
+    ((_MAX, 0.3333333333333333, 3, 2, CellPair.BULK_BULK, 777, 16),
+     (777, 0.5638557170859635, False,
+      (0.5920799857100748, 0.01542462336628801, 0.39249539092363717),
+      (0.057607455946110546, 0.6653995833456103, 0.27699296070827917))),
+]
+
+
+@pytest.mark.parametrize("case, pinned", _PINNED_SAMPLES)
+def test_sample_reports_are_pinned(case, pinned):
+    kind, eps, b, j, which, count, seed = case
+    rep = sample_subdomain(PartitionSpec(kind, eps), which, b, j, count, seed)
+    assert (rep.evaluated, rep.best_value, rep.inconclusive, rep.best_p, rep.best_q) == pinned
+
+
 def test_min_tagged_vanishing_eps_samples_in_full():
     # the direct construction reaches a min-partition tagged cell at any
     # threshold; plain rejection would accept ~nothing here

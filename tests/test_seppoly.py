@@ -184,6 +184,29 @@ def test_banded_partials_are_bit_identical_to_the_full_recurrence():
                 assert all(np.array_equal(g, w) for g, w in zip(got, want)), (b, j, n)
 
 
+@pytest.mark.parametrize("N", [_BATCH_CHUNK - 1, _BATCH_CHUNK, _BATCH_CHUNK + 1])
+def test_memory_order_leaves_results_bit_identical(N):
+    # each chunk is copied once into coordinate rows, whatever the input layout
+    rng = np.random.default_rng(37 + N)
+    b, j = 7, 4
+    P2, Q2 = rng.random((2 * N, b)), rng.random((2 * N, b))
+    P2[rng.random((2 * N, b)) < 0.2] = 0.0
+    P, Q = P2[::2].copy(), Q2[::2].copy()
+    drop = rng.integers(0, b, N)
+    want = sep_batch(P, Q, j)   # C order
+    want_partials = _sep_partials(P, Q, j, drop)
+    layouts = {
+        "F": (np.asfortranarray(P), np.asfortranarray(Q)),
+        "row-strided": (P2[::2], Q2[::2]),
+        "lists": (P.tolist(), Q.tolist()),
+    }
+    assert layouts["F"][0].flags.f_contiguous and not layouts["row-strided"][0].flags.c_contiguous
+    for name, (p, q) in layouts.items():
+        assert np.array_equal(sep_batch(p, q, j), want), name
+        got = _sep_partials(p, q, j, drop)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want_partials)), name
+
+
 def test_sep_partials_match_exact_differences():
     # S_j is affine in each single coordinate, so dS/dp_i = S(p_i <- 1) - S(p_i <- 0)
     # exactly; rows mix zeros in and leave out every coordinate in turn
