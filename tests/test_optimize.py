@@ -295,6 +295,27 @@ def test_uncertified_cells_are_pinned():
     assert digest.hexdigest() == PINNED_CELLS
 
 
+#: sha256 of the certified preset cells' (value, certified_excess,
+#: certify_capped, config_tag) reprs, one line each
+PINNED_CERTIFIED_CELLS = "0ec7ec4885fa715733b575a16e6b118396765075e50f29f848fd7aaf37d59540"
+
+
+def test_certified_cells_are_pinned():
+    # value, certified slack, cap flag and configuration of the 12 certified
+    # cells of the (5,5), (6,6) and (7,7) presets, to the last bit: a change
+    # meant to speed up the search or the certifier must not move any of them
+    from hashbound import presets
+
+    digest = hashlib.sha256()
+    for b, k in ((5, 5), (6, 6), (7, 7)):
+        pre = presets.PARTITION_PRESETS[(b, k)]
+        for which in CellPair:
+            res = compute_cell_max(pre.spec(), which, b, pre.j, certify=True)
+            line = repr((res.value, res.certified_excess, res.certify_capped, res.config_tag))
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_CERTIFIED_CELLS
+
+
 def test_block_ranges_enclose_block_values():
     # every block value at a sampled point or a corner of a box lies in the
     # block's range over that box, and a point box's range is its value
