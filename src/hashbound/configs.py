@@ -163,6 +163,18 @@ class Configuration:
                            np.array([blk.lo for blk in blocks]), np.array([blk.hi for blk in blocks]),
                            np.array([blk.mult for blk in blocks]))
 
+    @functools.cached_property
+    def chain_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Runs of coordinates with the same p-block and q-block, hence the
+        same partials: each run's first coordinate and Cp, Cq (runs, dim), the
+        run length times each free variable's coefficient in the two blocks,
+        so df/dx_k = sum over runs of Cp[., k] dS/dp + Cq[., k] dS/dq there."""
+        A, b = self.arrays, self.b
+        owner = np.repeat(np.arange(len(A.mult)), A.mult)
+        starts = np.flatnonzero(np.diff(owner[:b], prepend=-1) | np.diff(owner[b:], prepend=-1))
+        lengths = np.diff(starts, append=b)[:, None]
+        return starts, lengths * A.coef[owner[starts]], lengths * A.coef[owner[b + starts]]
+
     def block_values(self, X: np.ndarray) -> np.ndarray:
         """Every block's value at each row of X (N, dim), shape (N, blocks):
         const, then coef * x added one free variable at a time in index order."""

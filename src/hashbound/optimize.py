@@ -13,18 +13,19 @@ configuration's affine block map (``Configuration.arrays``), and
 ``_box_bounds`` lowers the corner bound to the centred form where needed.
 
 Every configuration's box is cut once, into a uniform lattice of parts with
-corner bounds (``_lattice``).  ``_best_config`` evaluates the points
-(0-dimensional configurations) first, for an attained incumbent, then visits
-the others in one pass, highest lattice bound first, and maximizes only
-those that the branch-and-bound (``_certified_supremum``), held to 2 * dim
-bisections below each part, does not bound strictly below the incumbent
-(``_dominated``).  The winner is the same as a search of every
-configuration would give: highest value, ties broken by the smallest
-``Configuration.describe()``.  ``maximize_config`` evaluates the part centres
-of each configuration it is handed, once, and polishes the best few admitted
-ones by a deterministic shrinking local search down to step 1e-12.  A
-configuration whose lattice bound lies above the maximum but whose lattice
-admits no centre is listed in ``CellMaxResult.unsearched``.
+corner bounds, in one stacked build per selector (``_lattices``).
+``_best_config`` evaluates the points (0-dimensional configurations) first,
+for an attained incumbent, then visits the others in one pass, highest
+lattice bound first, and maximizes only those that the branch-and-bound
+(``_certified_supremum``), held to 2 * dim bisections below each part, does
+not bound strictly below the incumbent (``_dominated``).  The winner is the
+same as a search of every configuration would give: highest value, ties
+broken by the smallest ``Configuration.describe()``.  ``maximize_config``
+evaluates the part centres of each configuration it is handed, once, and
+polishes the best few admitted ones by a deterministic shrinking local
+search down to step 1e-12.  A configuration whose lattice bound lies above
+the maximum but whose lattice admits no centre is listed in
+``CellMaxResult.unsearched``.
 
 Certification is optional.  The certified mode of ``compute_cell_max`` runs
 the same branch-and-bound, with no depth limit, per maximized configuration
@@ -68,7 +69,7 @@ _REFINE_STEP = 1e-12
 _ZOOM_POINTS = {1: 17, 2: 7, 3: 5}
 _SEED_COUNT = 6
 
-#: a configuration's lattice (``_lattice``): the low and the high corners of
+#: a configuration's lattice (``_lattices``): the low and the high corners of
 #: its parts and each part's bound
 Lattice = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -160,7 +161,7 @@ def maximize_config(
 ) -> ConfigMax | None:
     """Maximum of the polynomial over the configuration's box.
 
-    Evaluates the part centres of the configuration's lattice (``_lattice``;
+    Evaluates the part centres of the configuration's lattice (``_lattices``;
     built here when not given) once, then shrinks a coordinate window around
     the best few separated admitted centres until the window drops below
     1e-12.  A window point that leaves a block's band is moved back onto it
@@ -168,7 +169,7 @@ def maximize_config(
     edge that runs obliquely to the axes.  Returns None when no lattice
     centre is admitted, which a vacuous configuration guarantees.
     """
-    los, his, _bounds = _lattice(config) if lattice is None else lattice
+    los, his, _bounds = _lattices([config])[0] if lattice is None else lattice
     centers = 0.5 * (los + his)
     values = _evaluate(config, centers)
     if not np.isfinite(values).any():
@@ -232,6 +233,7 @@ def maximize_config(
 
 _ROOT_SPLITS = {0: 1, 1: 32, 2: 16, 3: 6}  # parts per axis of a configuration's lattice, by dimension
 _PRUNE_BATCH = 256  # most boxes the certifier bounds in one call, one 2-D lattice
+_LATTICE_BLOCK = 1024  # most lattice parts per sep_batch call; 2,048 raised peak RSS by 1 MB
 
 
 def _root_box(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
@@ -261,23 +263,6 @@ def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) 
     return out
 
 
-def _chain_rule(config: Configuration) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinate runs on which both the p-block and the q-block stay the same.
-
-    Returns the first coordinate of each run and the matrices Cp, Cq of shape
-    (runs, dim) with the run length times the coefficient of each free
-    variable in the run's p-block and q-block: within a run every coordinate
-    has the same partial derivatives, so df/dx_k = sum over runs of
-    Cp[., k] dS/dp + Cq[., k] dS/dq at the run's first coordinate.
-    """
-    A, b = config.arrays, config.b
-    owner = np.repeat(np.arange(len(A.mult)), A.mult)
-    own_p, own_q = owner[:b], owner[b:]
-    starts = np.flatnonzero(np.diff(own_p, prepend=-1) | np.diff(own_q, prepend=-1))
-    lengths = np.diff(starts, append=b)[:, None]
-    return starts, lengths * A.coef[own_p[starts]], lengths * A.coef[own_q[starts]]
-
-
 def _round_rel(b: int) -> float:
     """A priori relative rounding bound of one centred bound (Higham, ch. 3).
 
@@ -304,10 +289,10 @@ def _gradient_bounds(config: Configuration, los: np.ndarray,
     [g(L+) - (g(M) - g(M0)), g(M)]: the monomials free of those blocks grow
     with their entries, and the others are each at most their value at M in
     magnitude, values that sum to g(M) - g(M0).  The chain rule goes through
-    the affine blocks (``_chain_rule``); one pass covers every box, corner
-    set and run."""
+    the affine blocks (``Configuration.chain_rule``); one pass covers every
+    box, corner set and run."""
     n = los.shape[0]
-    starts, Cp, Cq = _chain_rule(config)
+    starts, Cp, Cq = config.chain_rule
     vlo, vhi = config.block_ranges(los, his)
     # M and L+ for every box, M0 where some block can be negative; each row
     # repeated once per run, leaving out the run's first coordinate
@@ -378,25 +363,51 @@ def _box_bounds(config: Configuration, los: np.ndarray, his: np.ndarray, floor: 
     return bounds
 
 
-def _lattice(config: Configuration) -> Lattice:
-    """The configuration's box split into a uniform lattice of parts.
+def _lattices(configs: list[Configuration]) -> list[Lattice]:
+    """Each configuration's box split into a uniform lattice of parts.
 
-    ``_ROOT_SPLITS[dim]`` parts per axis (the last edge is ``hi`` itself, so
-    the parts tile the box exactly), each with its corner bound
-    (``_cell_bounds_batch``), all in one batch.  Returns the parts' low and
-    high corners and their bounds (-inf for provably infeasible parts).  A
-    0-dimensional configuration is one part, its point.
-    """
-    lo, hi = _root_box(config)
-    k = _ROOT_SPLITS[config.dim]
-    edges = []
-    for a, z in zip(lo, hi):
-        e = np.linspace(a, z, k + 1)
-        e[-1] = z
-        edges.append(e)
-    los = np.array(list(itertools.product(*(e[:-1] for e in edges))))
-    his = np.array(list(itertools.product(*(e[1:] for e in edges))))
-    return los, his, _cell_bounds_batch(config, los, his)
+    ``_ROOT_SPLITS[dim]`` parts per axis in ``itertools.product`` order, on
+    ``np.linspace``'s edges (the last is ``hi``, so the parts tile the box),
+    each with its corner bound (``_cell_bounds_batch``; -inf if provably
+    infeasible); a point is one part.  Configurations of one (b, j) are
+    stacked by dimension on their coordinate-level affine maps, each free
+    variable's terms taken per edge interval and added in ``block_ranges``'
+    order; ``sep_batch`` bounds ``_LATTICE_BLOCK`` admitted parts per call."""
+    by_dim = {d: [i for i, c in enumerate(configs) if c.dim == d] for d in {c.dim for c in configs}}
+    lattices: list[Lattice] = [None] * len(configs)
+    bounds = np.full(sum(len(m) * _ROOT_SPLITS[d] ** d for d, m in by_dim.items()), -np.inf)
+    b, j = (configs[0].b, configs[0].j) if configs else (0, 0)
+    rows, admit, base = np.empty((2 * b, len(bounds))), np.zeros(len(bounds), dtype=bool), 0
+    for d, members in by_dim.items():
+        k = _ROOT_SPLITS[d]
+        grid = np.array(list(itertools.product(range(k), repeat=d)), dtype=int)
+        per = max(1, _LATTICE_BLOCK // len(grid))   # configurations stacked at once
+        for group in (members[first : first + per] for first in range(0, len(members), per)):
+            n, arrays = len(group), [configs[i].arrays for i in group]
+            lo, hi = (np.array([[getattr(fv, end) for fv in configs[i].free] for i in group])
+                      for end in ("lo", "hi"))
+            edges = np.arange(k + 1.0)[:, None] * ((hi - lo) / k)[:, None, :] + lo[:, None, :]
+            edges[:, -1] = hi
+            mult = np.concatenate([A.mult for A in arrays])
+            vlo, vhi, band_lo, band_hi = (np.repeat(np.concatenate([getattr(A, f) for A in arrays]), mult)
+                                          .reshape(n, 2 * b).T.reshape((2 * b, n) + (1,) * d)
+                                          for f in ("const", "const", "lo", "hi"))
+            coef = np.repeat(np.concatenate([A.coef for A in arrays]), mult, axis=0).reshape(n, 2 * b, d).T
+            for a in range(d):   # the terms per edge interval, broadcast over the grid of parts
+                at_lo, at_hi = coef[a][..., None] * edges[:, :-1, a], coef[a][..., None] * edges[:, 1:, a]
+                axis = (2 * b, n) + (1,) * a + (k,) + (1,) * (d - 1 - a)
+                vlo = vlo + np.minimum(at_lo, at_hi).reshape(axis)
+                vhi = vhi + np.maximum(at_lo, at_hi).reshape(axis)
+            band_lo, band_hi = band_lo - _FEAS_TOL, band_hi + _FEAS_TOL
+            parts = slice(base, base + vhi[0].size)
+            admit[parts] = ((vhi >= band_lo) & (vlo <= band_hi)).all(axis=0).ravel()
+            np.maximum(np.minimum(vhi, band_hi), 0.0, out=rows[:, parts].reshape(vhi.shape))
+            for i, los, his in zip(group, edges[:, grid, np.arange(d)], edges[:, grid + 1, np.arange(d)]):
+                lattices[i], base = (los, his, bounds[base : base + len(grid)]), base + len(grid)
+    at = np.flatnonzero(admit)
+    for cols in (at[start : start + _LATTICE_BLOCK] for start in range(0, len(at), _LATTICE_BLOCK)):
+        bounds[cols] = sep_batch(rows[:b, cols].T, rows[b:, cols].T, j)
+    return lattices
 
 
 def _bisect(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,7 +444,7 @@ def _certified_supremum(
 
     ``lower`` is the incumbent to certify against (typically the best value
     found across all configurations) and ``lattice`` the configuration's
-    lattice (``_lattice``), whose parts are the first boxes.  A box is closed
+    lattice (``_lattices``), whose parts are the first boxes.  A box is closed
     once its bound is at most lower + tol or it is narrower than 1e-12 along
     every axis, so a point closes at once with its value as its bound.  Each
     step bisects the ``_PRUNE_BATCH // 2`` open boxes with the highest bounds
@@ -493,7 +504,7 @@ def _best_config(
     The points (0-dimensional configurations with a finite bound) come
     first, one evaluation each, for an attained incumbent before any polish.
     The others follow in one pass, highest first by the largest part bound
-    of their lattice (``_lattice``, corner bounds), ties in list order.  A
+    of their lattice (``_lattices``, corner bounds), ties in list order.  A
     configuration is maximized unless ``_dominated`` proves it below the
     incumbent, and the pass stops at the first bound strictly below the
     incumbent.  The winner has the highest value, ties to the smallest
@@ -501,7 +512,7 @@ def _best_config(
     finite bound is certified (``_certified_supremum``).  The result
     has selector None and exactness "attained", as the global maximum's.
     """
-    lattices = [_lattice(cfg) for cfg in configs]
+    lattices = _lattices(configs)
     roots = [float(bounds.max()) for _los, _his, bounds in lattices]
     best: ConfigMax | None = None
     best_cfg: Configuration | None = None

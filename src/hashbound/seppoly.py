@@ -50,8 +50,8 @@ import numpy as np
 #: hard cap on b for the naive evaluator (factorial blowup guard)
 NAIVE_B_CAP = 8
 
-#: rows per chunk of the bulk evaluator, keeps the coefficient arrays small
-_BATCH_CHUNK = 8192
+#: rows per chunk of the bulk evaluator, keeps one call's workspace near 2 MB at b = 7
+_BATCH_CHUNK = 4096
 
 
 class DimensionMismatch(ValueError):
@@ -117,22 +117,28 @@ def sep_uniform_exact(params: SepParams) -> float:
 
 
 @functools.lru_cache(maxsize=256)
-def _row_bands(b: int, ja: int, jb: int) -> tuple[tuple[int, slice, slice, slice, slice, slice], ...]:
-    """Per coordinate, the rows of A and B (``_generate``) that can still
-    change ``A[ja]`` or ``B[jb]``; ``A[0]`` is 1, so ``ja = 0`` reads ``B[jb]``
-    alone.  Before coordinate i, rows above i of A and above i-1 of B are
-    still zero; with r = b-1-i coordinates left after it, rows of B below
-    jb - r, and of A below ja - r or jb + 1 - r, can no longer reach them.
-    Updating only the rows in between leaves both bit-identical to the update
-    of every row: the skipped terms add exact zeros or feed no row read."""
-    bands = []
+def _row_bands(b: int, ja: int, jb: int) -> tuple[int, tuple[slice, ...], tuple[tuple, ...]]:
+    """``_generate``'s workspace: its rows, those of V, W, A and B (products
+    T follow), and the updates in order as rows (factor, read, product, to).
+    Only the rows of A and B that can still change ``A[ja]`` or ``B[jb]`` are
+    updated; ``A[0]`` is 1, so ``ja = 0`` reads ``B[jb]`` alone.  Before
+    coordinate i, rows above i of A and above i-1 of B are still zero; with
+    r = b-1-i coordinates left after it, rows of B below jb - r, and of A
+    below ja - r or jb + 1 - r, can no longer reach them.  Updating only the
+    rows in between leaves both bit-identical to the update of every row: the
+    skipped terms add exact zeros or feed no row read."""
+    a0, b0, t0 = 2 * b, 2 * b + max(ja, jb) + 1, 2 * b + max(ja, jb) + jb + 2
+    updates = []
     for i in range(b):
         r = b - 1 - i
         lo, top = max(0, jb - r), min(i, jb)
         s, lo_a, top_a = max(lo, 1), max(1, ja - r, jb + 1 - r), min(i + 1, max(ja, jb))
-        bands.append((i, slice(s, top + 1), slice(s - 1, top), slice(lo, top + 1),
-                      slice(lo_a, top_a + 1), slice(lo_a - 1, top_a)))
-    return tuple(bands)
+        for x, read, to, m in ((i, b0 + s - 1, b0 + s, top + 1 - s),              # B[a] += V_i B[a-1]
+                               (b + i, a0 + lo, b0 + lo, top + 1 - lo),           # B[a] += W_i A[a]
+                               (i, a0 + lo_a - 1, a0 + lo_a, top_a + 1 - lo_a)):  # A[a] += V_i A[a-1]
+            if m > 0:
+                updates.append((x, slice(read, read + m), slice(t0, t0 + m), slice(to, to + m)))
+    return t0 + b0 - a0, (slice(0, b), slice(b, a0), slice(a0, b0), slice(b0, t0)), tuple(updates)
 
 
 def _generate(P: np.ndarray, Q: np.ndarray, ja: int, jb: int,
@@ -142,27 +148,28 @@ def _generate(P: np.ndarray, Q: np.ndarray, ja: int, jb: int,
     prod_i (1 + V_i t + W_i s), V = [P; Q] against W = [Q; P], without the
     factor of coordinate ``drop[r]`` in row r of both stacks if given:
     ``A[a]`` is the [t^a s^0] one and ``B[a]`` the [t^a s^1] one, and only
-    ``A[ja]`` and ``B[jb]`` are complete (``_row_bands``)."""
+    ``A[ja]`` and ``B[jb]`` are complete (``_row_bands``).  All live in one
+    workspace per call, viewed once per chunk size; each product goes to T
+    before its add, so an update reads the previous coordinate's rows and a
+    chunk allocates nothing."""
     N, b = P.shape
+    rows, stacks, plan = _row_bands(b, ja, jb)
+    work, views = np.empty(rows * 2 * min(N, _BATCH_CHUNK)), {}
     for lo in range(0, N, _BATCH_CHUNK):
-        hi = min(lo + _BATCH_CHUNK, N)
-        n = hi - lo
-        V = np.empty((b, 2 * n))   # one row per coordinate, one copy from either memory order
-        V[:, :n], V[:, n:] = P[lo:hi].T, Q[lo:hi].T
-        W = np.concatenate((V[:, n:], V[:, :n]), axis=1)
+        n = min(_BATCH_CHUNK, N - lo)
+        if n not in views:
+            ws = work[: rows * 2 * n].reshape(rows, 2 * n)
+            views[n] = [ws[s] for s in stacks], [(ws[x], ws[r], ws[p], ws[t]) for x, r, p, t in plan]
+        (V, W, A, B), updates = views[n]
+        # one row per coordinate, one copy from either memory order
+        V[:, :n], V[:, n:] = P[lo : lo + n].T, Q[lo : lo + n].T
         if drop is not None:
-            at = (np.concatenate((drop[lo:hi], drop[lo:hi])), np.arange(2 * n))
-            V[at] = W[at] = 0.0
-        A = np.zeros((max(ja, jb) + 1, 2 * n))
-        A[0] = 1.0
-        B = np.zeros((jb + 1, 2 * n))
-        for i, b_to, b_from, b_rows, a_to, a_from in _row_bands(b, ja, jb):
-            v = V[i]
-            # right-hand sides are evaluated before the in-place add, so
-            # every update reads the coefficients of the previous coordinate
-            B[b_to] += v * B[b_from]
-            B[b_rows] += W[i] * A[b_rows]
-            A[a_to] += v * A[a_from]
+            at = (drop[lo : lo + n], np.arange(n))
+            V[:, :n][at] = V[:, n:][at] = 0.0
+        W[:, :n], W[:, n:] = V[:, n:], V[:, :n]
+        A[0], A[1:], B[:] = 1.0, 0.0, 0.0
+        for x, read, prod, to in updates:
+            np.add(to, np.multiply(x, read, prod), to)
         yield lo, n, A, B
 
 
@@ -187,7 +194,7 @@ def sep_batch(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
     jf = float(math.factorial(j))
     out = np.empty(P.shape[0])
     for lo, n, _A, B in _generate(P, Q, 0, j):
-        out[lo : lo + n] = jf * (B[j, :n] + B[j, n:])
+        np.multiply(np.add(B[j, :n], B[j, n:], out[lo : lo + n]), jf, out[lo : lo + n])
     return out
 
 
@@ -211,6 +218,6 @@ def _sep_partials(P: np.ndarray, Q: np.ndarray, j: int, drop: np.ndarray) -> tup
     jf = float(math.factorial(j))
     dp, dq = np.empty(P.shape[0]), np.empty(P.shape[0])
     for lo, n, A, B in _generate(P, Q, j, j - 1, drop):
-        dp[lo : lo + n] = jf * (B[j - 1, :n] + A[j, n:])
-        dq[lo : lo + n] = jf * (A[j, :n] + B[j - 1, n:])
+        np.multiply(np.add(B[j - 1, :n], A[j, n:], dp[lo : lo + n]), jf, dp[lo : lo + n])
+        np.multiply(np.add(A[j, :n], B[j - 1, n:], dq[lo : lo + n]), jf, dq[lo : lo + n])
     return dp, dq

@@ -13,9 +13,12 @@ bitmasks where the engine compares symbol sets.  The exceptions:
 arithmetic of ``sep_batch`` and ``_sep_partials`` on purpose, without their
 row restriction, and ``pick_seeds_loop`` repeats the seed choice of the
 local search one candidate at a time, so that a test can require each pair
-to agree bit for bit; ``dense_scan_max``, a reference for the optimizer's
-search rather than for the evaluator, evaluates with ``sep_batch``;
-``root_bound`` reads the optimizer's own lattice bounds; and
+to agree bit for bit; ``lattice_reference`` builds one configuration's
+lattice on its own, with the optimizer's corner bound, so that a test can
+require the stacked lattices (``optimize._lattices``) to match it bit for
+bit, and ``root_bound`` reads its bounds; ``dense_scan_max``, a reference
+for the optimizer's search rather than for the evaluator, evaluates with
+``sep_batch``; and
 ``best_config_exhaustive``, a reference for the optimizer's pruning, runs
 its per-configuration search on every configuration.
 """
@@ -29,7 +32,7 @@ from itertools import permutations
 import numpy as np
 
 from hashbound.configs import Configuration, PartitionKind, PartitionSpec
-from hashbound.optimize import _lattice, maximize_config
+from hashbound.optimize import _ROOT_SPLITS, _cell_bounds_batch, _root_box, maximize_config
 from hashbound.reporting import round_up_str
 from hashbound.seppoly import sep_batch
 
@@ -379,10 +382,32 @@ def dense_scan_max(config: Configuration, grid: int = 400) -> float:
     return float(sep_batch(P[feas], Q[feas], config.j).max())
 
 
+def lattice_reference(config: Configuration):
+    """The configuration's box split into a uniform lattice of parts.
+
+    ``_ROOT_SPLITS[dim]`` parts per axis (the last edge is ``hi`` itself, so
+    the parts tile the box exactly), each with its corner bound
+    (``_cell_bounds_batch``), all in one batch.  Returns the parts' low and
+    high corners and their bounds (-inf for provably infeasible parts).  A
+    0-dimensional configuration is one part, its point.
+    """
+    lo, hi = _root_box(config)
+    k = _ROOT_SPLITS[config.dim]
+    edges = []
+    for a, z in zip(lo, hi):
+        e = np.linspace(a, z, k + 1)
+        e[-1] = z
+        edges.append(e)
+    los = np.array(list(itertools.product(*(e[:-1] for e in edges))))
+    his = np.array(list(itertools.product(*(e[1:] for e in edges))))
+    return los, his, _cell_bounds_batch(config, los, his)
+
+
 def root_bound(config: Configuration) -> float:
     """Upper bound on the configuration's whole box, -inf when provably
-    infeasible: the largest corner bound of its lattice parts."""
-    return float(_lattice(config)[2].max())
+    infeasible: the largest corner bound of its lattice parts
+    (``lattice_reference``)."""
+    return float(lattice_reference(config)[2].max())
 
 
 def best_config_exhaustive(configs):

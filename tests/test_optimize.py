@@ -24,9 +24,8 @@ from hashbound.optimize import (
     _centred_bounds_batch,
     _certified_supremum,
     _bisect,
-    _chain_rule,
     _gradient_bounds,
-    _lattice,
+    _lattices,
     _pick_seeds,
     _root_box,
     compute_all_cell_maxima,
@@ -36,7 +35,13 @@ from hashbound.optimize import (
 )
 from hashbound.seppoly import _sep_partials, sep_batch, sep_uniform_exact, SepParams
 
-from helpers import best_config_exhaustive, dense_scan_max, pick_seeds_loop, root_bound
+from helpers import (
+    best_config_exhaustive,
+    dense_scan_max,
+    lattice_reference,
+    pick_seeds_loop,
+    root_bound,
+)
 
 
 def test_zero_dim_config_is_exact():
@@ -235,7 +240,7 @@ def test_split_gradient_enclosure_contains_sampled_partials():
     rng = np.random.default_rng(43)
     cases = []
     for cfg in (c for c in _preset_and_sweep_configurations() if c.dim):
-        los, his, _bounds = _lattice(cfg)
+        los, his, _bounds = _lattices([cfg])[0]
         below = np.nonzero((cfg.block_ranges(los, his)[0] < 0.0).any(axis=1))[0]
         cases += [(cfg, los[i], his[i]) for i in rng.permutation(below)[:2]]
     for _ in range(30):
@@ -249,7 +254,7 @@ def test_split_gradient_enclosure_contains_sampled_partials():
         g_lo, g_hi, g_abs = (g[0] for g in _gradient_bounds(cfg, lo[None], hi[None]))
         corners = np.array(list(itertools.product(*zip(lo, hi))))
         X = np.vstack([np.clip(lo + (hi - lo) * rng.random((2000, cfg.dim)), lo, hi), corners])
-        starts, Cp, Cq = _chain_rule(cfg)
+        starts, Cp, Cq = cfg.chain_rule
         P, Q = cfg.spread(np.repeat(cfg.block_values(X), len(starts), axis=0))
         dp, dq = _sep_partials(P, Q, cfg.j, np.tile(starts, len(X)))
         grad = dp.reshape(len(X), -1) @ Cp + dq.reshape(len(X), -1) @ Cq
@@ -619,7 +624,7 @@ def test_prune_keeps_a_configuration_that_ties_the_incumbent():
         blocks_q=(Block(3, 1 / 3, (), 1 / 3, 1 / 3),),
         free=(FreeVar("a", 0.0, 1.0),),
     )
-    lattice = _lattice(cfg)
+    lattice = _lattices([cfg])[0]
     P, Q, feas = cfg.assemble(np.linspace(0.0, 1.0, 9)[:, None])
     values = sep_batch(P, Q, cfg.j)
     assert feas.all() and (values == values[0]).all() and (lattice[2] == values[0]).all()
@@ -641,6 +646,48 @@ def _preset_and_sweep_configurations():
               (PartitionSpec(PartitionKind.MAX_VALUE, 0.093), 7, 5)]
     return [cfg for spec, b, j in cells for which in CellPair
             for cfg in enumerate_candidates(spec, which, b, j)]
+
+
+def test_stacked_lattices_match_the_per_configuration_reference():
+    # every selector's configurations of the 12 presets, and of (6,6) min
+    # j=3 and (7,7) max j=5 at three eps each, stacked into one call per
+    # selector: the corners and bounds of every part, to the last bit
+    from hashbound import presets
+
+    cells = [(pre.spec(), b, pre.j) for (b, _k), pre in sorted(presets.PARTITION_PRESETS.items())]
+    cells += [(PartitionSpec(PartitionKind.MIN_VALUE, eps), 6, 3) for eps in (0.047, 0.05, 0.053)]
+    cells += [(PartitionSpec(PartitionKind.MAX_VALUE, eps), 7, 5) for eps in (0.087, 0.09, 0.093)]
+    checked = 0
+    for spec, b, j in cells:
+        for which in CellPair:
+            configs = enumerate_candidates(spec, which, b, j)
+            for cfg, got in zip(configs, _lattices(configs), strict=True):
+                for g, want in zip(got, lattice_reference(cfg), strict=True):
+                    assert g.dtype == want.dtype and g.shape == want.shape, cfg.describe()
+                    assert g.tobytes() == want.tobytes(), cfg.describe()
+                checked += 1
+    assert checked >= 1700
+
+
+def test_stacked_lattices_bound_in_blocks(monkeypatch):
+    # the 37 configurations of (6,6) min j=3 m3 have 7,424 parts in all:
+    # their admitted parts go to the kernel in at most ceil(7424 / block)
+    # calls of at most one block each
+    configs = enumerate_candidates(PartitionSpec(PartitionKind.MIN_VALUE, 0.05),
+                                   CellPair.TAGGED_SAME, 6, 3)
+    parts = sum(optimize._ROOT_SPLITS[cfg.dim] ** cfg.dim for cfg in configs)
+    assert len(configs) == 37 and parts == 7424
+    rows = []
+
+    def counted(P, Q, j):
+        rows.append(len(P))
+        return sep_batch(P, Q, j)
+
+    monkeypatch.setattr(optimize, "sep_batch", counted)
+    lattices = _lattices(configs)
+    block = optimize._LATTICE_BLOCK
+    assert 0 < len(rows) <= -(-parts // block) and max(rows) <= block
+    assert sum(rows) == sum(int(np.isfinite(bounds).sum()) for _los, _his, bounds in lattices)
 
 
 def test_split_root_bound_between_maximum_and_corner_bound():
@@ -737,7 +784,7 @@ def test_certified_supremum_keeps_slack_of_dropped_boxes():
         res = compute_cell_max(pre.spec(), which, 5, pre.j)
         cfg = next(c for c in enumerate_candidates(pre.spec(), which, 5, pre.j)
                    if c.describe() == res.config_tag)
-        sup, capped = _certified_supremum(cfg, res.value - 5e-6, _lattice(cfg), tol=1e-5)
+        sup, capped = _certified_supremum(cfg, res.value - 5e-6, _lattices([cfg])[0], tol=1e-5)
         assert not capped, which
         assert res.value <= sup <= res.value + 5e-6, which
 
@@ -745,7 +792,7 @@ def test_certified_supremum_keeps_slack_of_dropped_boxes():
 def _best_admitted_value(cfg, rng, count=2000):
     """The best value over at least ``count`` admitted samples of the
     configuration's box and its admitted lattice centres."""
-    los, his, _bounds = _lattice(cfg)
+    los, his, _bounds = _lattices([cfg])[0]
     lo, hi = _root_box(cfg)
     X, admitted = [0.5 * (los + his)], 0
     for _ in range(50):
@@ -777,7 +824,7 @@ def preset_certificates():
             value = compute_cell_max(pre.spec(), which, b, pre.j).value
             tol = 1e-9 * abs(value)
             for cfg in enumerate_candidates(pre.spec(), which, b, pre.j):
-                lattice = _lattice(cfg)
+                lattice = _lattices([cfg])[0]
                 if cfg.dim == 0 or not np.isfinite(lattice[2]).any():
                     continue
                 sizes = []

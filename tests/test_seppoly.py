@@ -184,7 +184,7 @@ def test_banded_partials_are_bit_identical_to_the_full_recurrence():
                 assert all(np.array_equal(g, w) for g, w in zip(got, want)), (b, j, n)
 
 
-@pytest.mark.parametrize("N", [_BATCH_CHUNK - 1, _BATCH_CHUNK, _BATCH_CHUNK + 1])
+@pytest.mark.parametrize("N", [2 * _BATCH_CHUNK - 1, 2 * _BATCH_CHUNK, 2 * _BATCH_CHUNK + 1])
 def test_memory_order_leaves_results_bit_identical(N):
     # each chunk is copied once into coordinate rows, whatever the input layout
     rng = np.random.default_rng(37 + N)
@@ -205,6 +205,23 @@ def test_memory_order_leaves_results_bit_identical(N):
         assert np.array_equal(sep_batch(p, q, j), want), name
         got = _sep_partials(p, q, j, drop)
         assert all(np.array_equal(g, w) for g, w in zip(got, want_partials)), name
+
+
+@pytest.mark.parametrize("N", [1, 170, _BATCH_CHUNK + 1])
+def test_back_to_back_calls_leave_earlier_results_intact(N):
+    # the pass works in one workspace per call: a second call of the same
+    # shape must not write into what the first one returned
+    rng = np.random.default_rng(53 + N)
+    b, j = 6, 4
+    P, Q, P2, Q2 = (rng.random((N, b)) for _ in range(4))
+    drop = rng.integers(0, b, N)
+    first, partials = sep_batch(P, Q, j), _sep_partials(P, Q, j, drop)
+    kept, kept_partials = first.copy(), [g.copy() for g in partials]
+    second, partials2 = sep_batch(P2, Q2, j), _sep_partials(P2, Q2, j, drop)
+    assert np.array_equal(first, kept) and not np.array_equal(second, kept)
+    assert all(np.array_equal(g, w) for g, w in zip(partials, kept_partials))
+    for got in (first, *partials):
+        assert not any(np.shares_memory(got, other) for other in (second, *partials2))
 
 
 def test_sep_partials_match_exact_differences():
