@@ -321,6 +321,35 @@ def test_certified_cells_are_pinned():
     assert digest.hexdigest() == PINNED_CERTIFIED_CELLS
 
 
+#: sha256 of (describe(), value, p, q) from ``maximize_config`` for every
+#: configuration with a finite lattice bound, one line each
+PINNED_CONFIG_MAXIMA = "0ea64a22aa4eb0722c2efbdd2f7efecaf2cc21a8afcab514c3a3d6dc463f31cc"
+
+
+def test_config_maxima_are_pinned():
+    # the local search's result on every configuration of the (5,5), (6,6)
+    # and (7,7) presets and of (6,6) min j=3 at eps 0.05, to the last bit,
+    # losers included: the cell pins only see each selector's winner ((7,7)
+    # max j=5 at eps 0.09 is the (7,7) preset)
+    from hashbound import presets
+
+    cells = [(pre.spec(), pre.b, pre.j) for pre in (presets.PARTITION_PRESETS[(b, k)]
+                                                    for b, k in ((5, 5), (6, 6), (7, 7)))]
+    cells +=[(PartitionSpec(PartitionKind.MIN_VALUE, 0.05), 6, 3)]
+    digest, count = hashlib.sha256(), 0
+    for spec, b, j in cells:
+        for which in CellPair:
+            configs = enumerate_candidates(spec, which, b, j)
+            for cfg, lattice in zip(configs, _lattices(configs), strict=True):
+                if np.isfinite(lattice[2]).any():
+                    res = maximize_config(cfg, lattice)
+                    line = (cfg.describe(),) + ((None,) if res is None else (res.value, res.p, res.q))
+                    digest.update(repr(line).encode() + b"\n")
+                    count += 1
+    assert count == 288
+    assert digest.hexdigest() == PINNED_CONFIG_MAXIMA
+
+
 def test_block_ranges_enclose_block_values():
     # every block value at a sampled point or a corner of a box lies in the
     # block's range over that box, and a point box's range is its value
