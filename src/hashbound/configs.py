@@ -164,6 +164,13 @@ class Configuration:
                            np.array([blk.mult for blk in blocks]))
 
     @functools.cached_property
+    def coords(self) -> BlockArrays:
+        """``arrays`` at coordinate level, p coordinates first: each block
+        repeated by its mult, so every mult is 1, its band padded by ``_FEAS_TOL``."""
+        const, coef, lo, hi, mult = (np.repeat(v, self.arrays.mult, axis=0) for v in self.arrays)
+        return BlockArrays(const, coef, lo - _FEAS_TOL, hi + _FEAS_TOL, np.ones_like(mult))
+
+    @functools.cached_property
     def chain_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Runs of coordinates with the same p-block and q-block, hence the
         same partials: each run's first coordinate and Cp, Cq (runs, dim), the
@@ -179,7 +186,7 @@ class Configuration:
         """Every block's value at each row of X (N, dim), shape (N, blocks):
         const, then coef * x added one free variable at a time in index order."""
         A = self.arrays
-        V = np.tile(A.const, (X.shape[0], 1))
+        V = np.repeat(A.const[None], X.shape[0], axis=0)
         for k in range(self.dim):
             V += A.coef[:, k] * X[:, k, None]
         return V
@@ -190,7 +197,7 @@ class Configuration:
         order, so by monotone rounding each end is that routine's value at a
         corner of the box, and a point box gets its block values exactly."""
         A = self.arrays
-        vlo = np.tile(A.const, (los.shape[0], 1))
+        vlo = np.repeat(A.const[None], los.shape[0], axis=0)
         vhi = vlo.copy()
         for k in range(self.dim):
             at_lo, at_hi = A.coef[:, k] * los[:, k, None], A.coef[:, k] * his[:, k, None]
@@ -204,13 +211,15 @@ class Configuration:
         return R[:, : self.b], R[:, self.b :]
 
     def assemble(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Substitute assignments X (N, dim) -> (P, Q, feasible mask)."""
+        """Substitute assignments X (N, dim) -> (P, Q, feasible mask): ``block_values``
+        spread, coordinate-major, its terms added in its order on ``coords``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        V = self.block_values(X)
-        A = self.arrays
-        feas = ((V >= A.lo - _FEAS_TOL) & (V <= A.hi + _FEAS_TOL)).all(axis=1)
-        P, Q = self.spread(V)
-        return P, Q, feas
+        C = self.coords
+        R = np.repeat(C.const[:, None], X.shape[0], axis=1)
+        for k in range(self.dim):
+            R += np.multiply.outer(C.coef[:, k], X[:, k])
+        feas = ((R >= C.lo[:, None]) & (R <= C.hi[:, None])).all(axis=0)
+        return R[: self.b].T, R[self.b :].T, feas
 
     def point(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray, bool]:
         P, Q, feas = self.assemble(np.asarray(x, dtype=float).reshape(1, -1))

@@ -199,20 +199,17 @@ def maximize_config(
             flat = cand.reshape(-1, d)
             for c, cc, const, band_lo, band_hi in bands:
                 at = const + flat @ c
-                back = np.clip(at, band_lo, band_hi) - at
+                back = np.minimum(np.maximum(at, band_lo), band_hi) - at
                 if back.any():
                     flat += np.outer(back / cc, c)
-            np.clip(flat, lo, hi, out=flat)
+            np.minimum(np.maximum(flat, lo, out=flat), hi, out=flat)
             cvals = _evaluate(config, flat).reshape(len(centers), -1)
             arg = np.argmax(cvals, axis=1)
-            for s in range(len(centers)):
-                v = cvals[s, arg[s]]
-                if v > best_vals[s] + 1e-16 * abs(best_vals[s]):
-                    best_vals[s] = v
-                    centers[s] = cand[s, arg[s]]
-                    widths[s] *= 0.6
-                else:
-                    widths[s] *= 0.33
+            v = cvals[np.arange(len(centers)), arg]
+            better = v > best_vals + 1e-16 * np.abs(best_vals)
+            best_vals[better] = v[better]
+            centers[better] = cand[better, arg[better]]
+            widths *= np.where(better, 0.6, 0.33)[:, None]
             # drop hopeless seeds once the windows are already small
             if rounds == 12 and len(centers) > 2:
                 keep = np.argsort(best_vals)[::-1][:2]
@@ -240,7 +237,7 @@ def _root_box(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
     return (np.array([fv.lo for fv in config.free]), np.array([fv.hi for fv in config.free]))
 
 
-def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray, ranges=None) -> np.ndarray:
     """Monotone interval bound per cell, -inf for provably infeasible cells.
 
     A block range (``Configuration.block_ranges``) disjoint from the block's
@@ -249,10 +246,10 @@ def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) 
     polynomial at the coordinate-wise maxima, clipped to the padded band,
     dominates every point of the cell that ``Configuration.assemble``
     admits.  The pad must be at least that tolerance, so both read the one
-    constant.
+    constant.  ``ranges``, if given, are the block ranges of the boxes.
     """
     A = config.arrays
-    vlo, vhi = config.block_ranges(los, his)
+    vlo, vhi = config.block_ranges(los, his) if ranges is None else ranges
     band_lo, band_hi = A.lo - _FEAS_TOL, A.hi + _FEAS_TOL
     feas = ((vhi >= band_lo) & (vlo <= band_hi)).all(axis=1)
     P, Q = config.spread(np.maximum(np.minimum(vhi, band_hi), 0.0))
@@ -279,8 +276,8 @@ def _round_rel(b: int) -> float:
     return 2.0 * nu / (1.0 - nu)
 
 
-def _gradient_bounds(config: Configuration, los: np.ndarray,
-                     his: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gradient_bounds(config: Configuration, los: np.ndarray, his: np.ndarray,
+                     ranges=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """[G_lo, G_hi], enclosing the unclipped polynomial's gradient on each
     box, and |G|, bounding the magnitudes of the terms summed into either end.
     Each partial g (``_sep_partials``) has nonnegative coefficients, so with
@@ -290,10 +287,10 @@ def _gradient_bounds(config: Configuration, los: np.ndarray,
     with their entries, and the others are each at most their value at M in
     magnitude, values that sum to g(M) - g(M0).  The chain rule goes through
     the affine blocks (``Configuration.chain_rule``); one pass covers every
-    box, corner set and run."""
+    box, corner set and run.  ``ranges`` as in ``_cell_bounds_batch``."""
     n = los.shape[0]
     starts, Cp, Cq = config.chain_rule
-    vlo, vhi = config.block_ranges(los, his)
+    vlo, vhi = config.block_ranges(los, his) if ranges is None else ranges
     # M and L+ for every box, M0 where some block can be negative; each row
     # repeated once per run, leaving out the run's first coordinate
     neg = vlo < 0.0
@@ -314,7 +311,7 @@ def _gradient_bounds(config: Configuration, los: np.ndarray,
     return g_lo, g_hi, g_abs
 
 
-def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray, ranges=None) -> np.ndarray:
     """Centred-form (mean-value) upper bound of the polynomial on each box.
 
     f(c) + sum_k r_k max(|G_lo,k|, |G_hi,k|) + margin, where c is the box
@@ -339,7 +336,7 @@ def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarra
     j = config.j
     centre = 0.5 * (los + his)
     radius = np.maximum(his - centre, centre - los)
-    g_lo, g_hi, g_abs = _gradient_bounds(config, los, his)
+    g_lo, g_hi, g_abs = _gradient_bounds(config, los, his, ranges)
     at_centre = config.block_values(centre)
     value = sep_batch(*config.spread(at_centre), j)
     scale = value.copy()
@@ -355,11 +352,13 @@ def _box_bounds(config: Configuration, los: np.ndarray, his: np.ndarray, floor: 
     """The corner bound (``_cell_bounds_batch``) of each box, lowered to the
     centred form (``_centred_bounds_batch``) where it lies above ``floor``;
     -inf marks a provably infeasible box.  Both forms dominate every point
-    ``Configuration.assemble`` admits in the box."""
-    bounds = _cell_bounds_batch(config, los, his)
+    ``Configuration.assemble`` admits in the box; both read one ``block_ranges``."""
+    ranges = config.block_ranges(los, his)
+    bounds = _cell_bounds_batch(config, los, his, ranges)
     above = np.nonzero(bounds > floor)[0]
     if config.dim and above.size:
-        bounds[above] = np.minimum(bounds[above], _centred_bounds_batch(config, los[above], his[above]))
+        ranges = [r[above] for r in ranges]
+        bounds[above] = np.minimum(bounds[above], _centred_bounds_batch(config, los[above], his[above], ranges))
     return bounds
 
 
@@ -370,8 +369,8 @@ def _lattices(configs: list[Configuration]) -> list[Lattice]:
     ``np.linspace``'s edges (the last is ``hi``, so the parts tile the box),
     each with its corner bound (``_cell_bounds_batch``; -inf if provably
     infeasible); a point is one part.  Configurations of one (b, j) are
-    stacked by dimension on their coordinate-level affine maps, each free
-    variable's terms taken per edge interval and added in ``block_ranges``'
+    stacked by dimension on their coordinate maps (``Configuration.coords``),
+    each free variable's terms per edge interval added in ``block_ranges``'
     order; ``sep_batch`` bounds ``_LATTICE_BLOCK`` admitted parts per call."""
     by_dim = {d: [i for i, c in enumerate(configs) if c.dim == d] for d in {c.dim for c in configs}}
     lattices: list[Lattice] = [None] * len(configs)
@@ -383,22 +382,19 @@ def _lattices(configs: list[Configuration]) -> list[Lattice]:
         grid = np.array(list(itertools.product(range(k), repeat=d)), dtype=int)
         per = max(1, _LATTICE_BLOCK // len(grid))   # configurations stacked at once
         for group in (members[first : first + per] for first in range(0, len(members), per)):
-            n, arrays = len(group), [configs[i].arrays for i in group]
+            n, maps = len(group), [configs[i].coords for i in group]
             lo, hi = (np.array([[getattr(fv, end) for fv in configs[i].free] for i in group])
                       for end in ("lo", "hi"))
             edges = np.arange(k + 1.0)[:, None] * ((hi - lo) / k)[:, None, :] + lo[:, None, :]
             edges[:, -1] = hi
-            mult = np.concatenate([A.mult for A in arrays])
-            vlo, vhi, band_lo, band_hi = (np.repeat(np.concatenate([getattr(A, f) for A in arrays]), mult)
-                                          .reshape(n, 2 * b).T.reshape((2 * b, n) + (1,) * d)
-                                          for f in ("const", "const", "lo", "hi"))
-            coef = np.repeat(np.concatenate([A.coef for A in arrays]), mult, axis=0).reshape(n, 2 * b, d).T
+            vlo, band_lo, band_hi = (np.array([getattr(C, f) for C in maps]).T.reshape((2 * b, n) + (1,) * d)
+                                     for f in ("const", "lo", "hi"))
+            vhi, coef = vlo, np.array([C.coef for C in maps]).T
             for a in range(d):   # the terms per edge interval, broadcast over the grid of parts
                 at_lo, at_hi = coef[a][..., None] * edges[:, :-1, a], coef[a][..., None] * edges[:, 1:, a]
                 axis = (2 * b, n) + (1,) * a + (k,) + (1,) * (d - 1 - a)
                 vlo = vlo + np.minimum(at_lo, at_hi).reshape(axis)
                 vhi = vhi + np.maximum(at_lo, at_hi).reshape(axis)
-            band_lo, band_hi = band_lo - _FEAS_TOL, band_hi + _FEAS_TOL
             parts = slice(base, base + vhi[0].size)
             admit[parts] = ((vhi >= band_lo) & (vlo <= band_hi)).all(axis=0).ravel()
             np.maximum(np.minimum(vhi, band_hi), 0.0, out=rows[:, parts].reshape(vhi.shape))

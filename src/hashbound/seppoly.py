@@ -26,9 +26,10 @@ is sum_m q[m] e_j(p \\ m), and with p and q swapped it is the other sum.
 one coordinate at a time over stacks of vector pairs, truncated to degree j
 in t and degree 1 in s; ``_sep_partials`` runs the same recurrence with one
 coordinate's factor left out per row, which yields the partial derivatives
-the certifier's centred-form bound needs (both share one banded pass,
-``_generate``); ``sep_naive`` enumerates tuples literally and serves as the
-verification battery's independent oracle for small b.
+the certifier's centred-form bound needs.  Both share one banded pass,
+``_generate``, which runs calls of up to 1,024 rows in one module-level
+workspace on cached views; ``sep_naive`` enumerates tuples literally and
+serves as the verification battery's independent oracle for small b.
 
 All monomials have nonnegative coefficients, and every coefficient update is
 a sum of products of nonnegative numbers, so evaluation involves no
@@ -52,6 +53,8 @@ NAIVE_B_CAP = 8
 
 #: rows per chunk of the bulk evaluator, keeps one call's workspace near 2 MB at b = 7
 _BATCH_CHUNK = 4096
+#: calls of at most this many rows share one workspace (``_views``); not for concurrent threads
+_SHARED_ROWS, _shared = 1024, np.empty(0)
 
 
 class DimensionMismatch(ValueError):
@@ -141,32 +144,44 @@ def _row_bands(b: int, ja: int, jb: int) -> tuple[int, tuple[slice, ...], tuple[
     return t0 + b0 - a0, (slice(0, b), slice(b, a0), slice(a0, b0), slice(b0, t0)), tuple(updates)
 
 
+@functools.cache
+def _views(b: int, ja: int, jb: int, width: int, work: np.ndarray | None = None) -> tuple[list, list]:
+    """``_generate``'s stacks and updates on ``work``, each row (2, width), P side
+    first; cached on the shared workspace (``work`` None), whose growth drops them."""
+    global _shared
+    rows, stacks, plan = _row_bands(b, ja, jb)
+    if work is None and _shared.size < rows * 2 * width:
+        _views.cache_clear()
+        _shared = np.empty(rows * 2 * _SHARED_ROWS)
+    ws = (_shared if work is None else work)[: rows * 2 * width].reshape(rows, 2, width)
+    return [ws[s] for s in stacks], [(ws[x], ws[r], ws[p], ws[t]) for x, r, p, t in plan]
+
+
 def _generate(P: np.ndarray, Q: np.ndarray, ja: int, jb: int,
               drop: np.ndarray | None = None) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """The pass behind ``sep_batch`` and ``_sep_partials``: per chunk of
     ``_BATCH_CHUNK`` rows, its first row, its size n and the coefficients of
     prod_i (1 + V_i t + W_i s), V = [P; Q] against W = [Q; P], without the
     factor of coordinate ``drop[r]`` in row r of both stacks if given:
-    ``A[a]`` is the [t^a s^0] one and ``B[a]`` the [t^a s^1] one, and only
-    ``A[ja]`` and ``B[jb]`` are complete (``_row_bands``).  All live in one
-    workspace per call, viewed once per chunk size; each product goes to T
-    before its add, so an update reads the previous coordinate's rows and a
-    chunk allocates nothing."""
+    ``A[a]`` is the [t^a s^0] one and ``B[a]`` the [t^a s^1] one, each
+    (2, width), P side first; only ``A[ja]`` and ``B[jb]`` are complete
+    (``_row_bands``).  A call of at most ``_SHARED_ROWS`` rows runs on the
+    shared views of width n rounded up to a multiple of 64 (``_views``), its
+    padded columns zeroed; a larger one allocates its own.  Each product goes
+    to T before its add, so an update reads the previous coordinate's rows."""
     N, b = P.shape
-    rows, stacks, plan = _row_bands(b, ja, jb)
-    work, views = np.empty(rows * 2 * min(N, _BATCH_CHUNK)), {}
+    if N > _SHARED_ROWS:   # a workspace of its own, viewed once per chunk size
+        work = np.empty(_row_bands(b, ja, jb)[0] * 2 * min(N, _BATCH_CHUNK))
+        own = functools.cache(lambda n: _views.__wrapped__(b, ja, jb, n, work))
     for lo in range(0, N, _BATCH_CHUNK):
         n = min(_BATCH_CHUNK, N - lo)
-        if n not in views:
-            ws = work[: rows * 2 * n].reshape(rows, 2 * n)
-            views[n] = [ws[s] for s in stacks], [(ws[x], ws[r], ws[p], ws[t]) for x, r, p, t in plan]
-        (V, W, A, B), updates = views[n]
+        (V, W, A, B), updates = _views(b, ja, jb, -(-n // 64) * 64) if N <= _SHARED_ROWS else own(n)
         # one row per coordinate, one copy from either memory order
-        V[:, :n], V[:, n:] = P[lo : lo + n].T, Q[lo : lo + n].T
+        V[:, 0, :n], V[:, 1, :n], V[:, :, n:] = P[lo : lo + n].T, Q[lo : lo + n].T, 0.0
         if drop is not None:
             at = (drop[lo : lo + n], np.arange(n))
-            V[:, :n][at] = V[:, n:][at] = 0.0
-        W[:, :n], W[:, n:] = V[:, n:], V[:, :n]
+            V[:, 0][at] = V[:, 1][at] = 0.0
+        W[:] = V[:, ::-1]
         A[0], A[1:], B[:] = 1.0, 0.0, 0.0
         for x, read, prod, to in updates:
             np.add(to, np.multiply(x, read, prod), to)
@@ -194,7 +209,7 @@ def sep_batch(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
     jf = float(math.factorial(j))
     out = np.empty(P.shape[0])
     for lo, n, _A, B in _generate(P, Q, 0, j):
-        np.multiply(np.add(B[j, :n], B[j, n:], out[lo : lo + n]), jf, out[lo : lo + n])
+        np.multiply(np.add(B[j, 0, :n], B[j, 1, :n], out[lo : lo + n]), jf, out[lo : lo + n])
     return out
 
 
@@ -218,6 +233,6 @@ def _sep_partials(P: np.ndarray, Q: np.ndarray, j: int, drop: np.ndarray) -> tup
     jf = float(math.factorial(j))
     dp, dq = np.empty(P.shape[0]), np.empty(P.shape[0])
     for lo, n, A, B in _generate(P, Q, j, j - 1, drop):
-        np.multiply(np.add(B[j - 1, :n], A[j, n:], dp[lo : lo + n]), jf, dp[lo : lo + n])
-        np.multiply(np.add(A[j, :n], B[j - 1, n:], dq[lo : lo + n]), jf, dq[lo : lo + n])
+        np.multiply(np.add(B[j - 1, 0, :n], A[j, 1, :n], dp[lo : lo + n]), jf, dp[lo : lo + n])
+        np.multiply(np.add(A[j, 0, :n], B[j - 1, 1, :n], dq[lo : lo + n]), jf, dq[lo : lo + n])
     return dp, dq

@@ -11,7 +11,9 @@ constructs cell members directly, and the hash-code checker compares symbol
 bitmasks where the engine compares symbol sets.  The exceptions:
 ``sep_by_full_generating_pass`` and ``sep_partials_unbanded`` repeat the
 arithmetic of ``sep_batch`` and ``_sep_partials`` on purpose, without their
-row restriction, and ``pick_seeds_loop`` repeats the seed choice of the
+row restriction, ``sep_batch_per_call`` and ``sep_partials_per_call`` with
+a workspace of their own per call instead of the shared one of small calls,
+and ``pick_seeds_loop`` repeats the seed choice of the
 local search one candidate at a time, so that a test can require each pair
 to agree bit for bit; ``lattice_reference`` builds one configuration's
 lattice on its own, with the optimizer's corner bound, so that a test can
@@ -34,7 +36,7 @@ import numpy as np
 from hashbound.configs import Configuration, PartitionKind, PartitionSpec
 from hashbound.optimize import _ROOT_SPLITS, _cell_bounds_batch, _root_box, maximize_config
 from hashbound.reporting import round_up_str
-from hashbound.seppoly import sep_batch
+from hashbound.seppoly import _BATCH_CHUNK, _row_bands, sep_batch
 
 
 def sep_naive_batch(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
@@ -105,6 +107,54 @@ def sep_partials_unbanded(P: np.ndarray, Q: np.ndarray, j: int, drop: np.ndarray
         A[1 : top_a + 1] += V[i] * A[:top_a]
     jf = float(math.factorial(j))
     return jf * (B[j - 1, :n] + A[j, n:]), jf * (A[j, :n] + B[j - 1, n:])
+
+
+def _generate_per_call(P: np.ndarray, Q: np.ndarray, ja: int, jb: int,
+                       drop: np.ndarray | None = None):
+    """The kernel's banded, chunked pass with one workspace per call, viewed
+    once per chunk size, each coefficient row [P side | Q side]."""
+    N, b = P.shape
+    rows, stacks, plan = _row_bands(b, ja, jb)
+    work, views = np.empty(rows * 2 * min(N, _BATCH_CHUNK)), {}
+    for lo in range(0, N, _BATCH_CHUNK):
+        n = min(_BATCH_CHUNK, N - lo)
+        if n not in views:
+            ws = work[: rows * 2 * n].reshape(rows, 2 * n)
+            views[n] = [ws[s] for s in stacks], [(ws[x], ws[r], ws[p], ws[t]) for x, r, p, t in plan]
+        (V, W, A, B), updates = views[n]
+        # one row per coordinate, one copy from either memory order
+        V[:, :n], V[:, n:] = P[lo : lo + n].T, Q[lo : lo + n].T
+        if drop is not None:
+            at = (drop[lo : lo + n], np.arange(n))
+            V[:, :n][at] = V[:, n:][at] = 0.0
+        W[:, :n], W[:, n:] = V[:, n:], V[:, :n]
+        A[0], A[1:], B[:] = 1.0, 0.0, 0.0
+        for x, read, prod, to in updates:
+            np.add(to, np.multiply(x, read, prod), to)
+        yield lo, n, A, B
+
+
+def sep_batch_per_call(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
+    """``sep_batch`` with a workspace of its own for every call
+    (``_generate_per_call``): the reference for the shared workspace of
+    small calls and its padded widths, which must not change a single bit."""
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    jf = float(math.factorial(j))
+    out = np.empty(P.shape[0])
+    for lo, n, _A, B in _generate_per_call(P, Q, 0, j):
+        np.multiply(np.add(B[j, :n], B[j, n:], out[lo : lo + n]), jf, out[lo : lo + n])
+    return out
+
+
+def sep_partials_per_call(P: np.ndarray, Q: np.ndarray, j: int, drop: np.ndarray):
+    """``_sep_partials`` on ``_generate_per_call``, the same reference."""
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    jf = float(math.factorial(j))
+    dp, dq = np.empty(P.shape[0]), np.empty(P.shape[0])
+    for lo, n, A, B in _generate_per_call(P, Q, j, j - 1, drop):
+        np.multiply(np.add(B[j - 1, :n], A[j, n:], dp[lo : lo + n]), jf, dp[lo : lo + n])
+        np.multiply(np.add(A[j, :n], B[j - 1, n:], dq[lo : lo + n]), jf, dq[lo : lo + n])
+    return dp, dq
 
 
 def pick_seeds_loop(X: np.ndarray, vals: np.ndarray, cell: np.ndarray, count: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 
 from hashbound import presets
 from hashbound.configs import (
+    _FEAS_TOL,
     CellPair,
     PartitionKind,
     PartitionSpec,
@@ -155,6 +156,30 @@ def test_assemble_feasibility_mask():
     _, _, bad = cfg.assemble((hi + 10.0).reshape(1, -1))
     assert not bad[0]
     assert ok[0] or True  # midpoints can be infeasible; the mask just must act
+
+
+def test_assemble_matches_the_block_map_spread():
+    # assemble works on the coordinate-level map; at random points in and
+    # around the box of every configuration of the 12 presets and the two
+    # eps-sweep cells it must give the block values spread to coordinates,
+    # and the block-level band mask, to the last bit
+    rng = np.random.default_rng(71)
+    cells = [(pre.spec(), b, pre.j) for (b, _k), pre in sorted(presets.PARTITION_PRESETS.items())]
+    cells += [(PartitionSpec(PartitionKind.MIN_VALUE, 0.047), 6, 3),
+              (PartitionSpec(PartitionKind.MAX_VALUE, 0.093), 7, 5)]
+    admitted = total = 0
+    for spec, b, j in cells:
+        for which in CellPair:
+            for cfg in enumerate_candidates(spec, which, b, j):
+                lo, hi = (np.array([getattr(fv, end) for fv in cfg.free]) for end in ("lo", "hi"))
+                X = lo + (hi - lo) * rng.uniform(-0.25, 1.25, (40, cfg.dim))
+                P, Q, feas = cfg.assemble(X)
+                V, A = cfg.block_values(X), cfg.arrays
+                want = (*cfg.spread(V), ((V >= A.lo - _FEAS_TOL) & (V <= A.hi + _FEAS_TOL)).all(axis=1))
+                for got, ref in zip((P, Q, feas), want, strict=True):
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), cfg.describe()
+                admitted, total = admitted + int(feas.sum()), total + len(feas)
+    assert 0 < admitted < total
 
 
 def _pinned_cells():

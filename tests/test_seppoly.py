@@ -1,15 +1,19 @@
 import math
 from fractions import Fraction
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hashbound import seppoly
 from hashbound.seppoly import (
     DimensionMismatch,
     NaiveCapExceeded,
     SepParams,
     _BATCH_CHUNK,
+    _SHARED_ROWS,
     _sep_partials,
     sep_batch,
     sep_naive,
@@ -22,6 +26,8 @@ from helpers import (
     sep_by_full_generating_pass,
     sep_fraction,
     sep_naive_batch,
+    sep_batch_per_call,
+    sep_partials_per_call,
     sep_partials_unbanded,
 )
 
@@ -207,21 +213,60 @@ def test_memory_order_leaves_results_bit_identical(N):
         assert all(np.array_equal(g, w) for g, w in zip(got, want_partials)), name
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_shared_workspace_is_bit_identical_to_per_call_workspaces(order):
+    # calls of up to _SHARED_ROWS rows run on padded widths in the shared
+    # workspace, larger ones in chunks of their own: every b, j and size
+    # around the widths, the shared limit and the chunk, to the last bit
+    rng = np.random.default_rng(61)
+    sizes = (1, 63, 64, 65, 170, _SHARED_ROWS, _SHARED_ROWS + 1, _BATCH_CHUNK - 1, _BATCH_CHUNK + 1)
+    for b in range(3, 16):
+        P, Q = rng.random((max(sizes), b)), rng.random((max(sizes), b))
+        P[rng.random(P.shape) < 0.25] = 0.0
+        Q[rng.random(Q.shape) < 0.25] = 0.0
+        drop = rng.integers(0, b, max(sizes))
+        for n in sizes:
+            p, q = (np.asfortranarray(M[:n]) if order == "F" else M[:n] for M in (P, Q))
+            for j in range(1, b):
+                assert sep_batch(p, q, j).tobytes() == sep_batch_per_call(p, q, j).tobytes(), (b, j, n)
+                got, want = _sep_partials(p, q, j, drop[:n]), sep_partials_per_call(p, q, j, drop[:n])
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), (b, j, n)
+
+
 @pytest.mark.parametrize("N", [1, 170, _BATCH_CHUNK + 1])
-def test_back_to_back_calls_leave_earlier_results_intact(N):
-    # the pass works in one workspace per call: a second call of the same
-    # shape must not write into what the first one returned
+def test_back_to_back_calls_leave_earlier_results_intact(N, monkeypatch):
+    # small calls share one workspace: calls of two sizes in one padded
+    # width, interleaved over three (b, j) and both entry points, must not
+    # write into what an earlier call returned, and each result equals a
+    # fresh computation; a (15,13) call of _SHARED_ROWS rows grows the
+    # workspace, which lets every older buffer go, and a call of more than
+    # _SHARED_ROWS rows never touches it
+    monkeypatch.setattr(seppoly, "_shared", np.empty(0))
+    seppoly._views.cache_clear()
     rng = np.random.default_rng(53 + N)
-    b, j = 6, 4
-    P, Q, P2, Q2 = (rng.random((N, b)) for _ in range(4))
-    drop = rng.integers(0, b, N)
-    first, partials = sep_batch(P, Q, j), _sep_partials(P, Q, j, drop)
-    kept, kept_partials = first.copy(), [g.copy() for g in partials]
-    second, partials2 = sep_batch(P2, Q2, j), _sep_partials(P2, Q2, j, drop)
-    assert np.array_equal(first, kept) and not np.array_equal(second, kept)
-    assert all(np.array_equal(g, w) for g, w in zip(partials, kept_partials))
-    for got in (first, *partials):
-        assert not any(np.shares_memory(got, other) for other in (second, *partials2))
+    calls = [(b, j, n) for b, j in ((5, 3), (7, 5), (15, 13)) for n in (N, N + 1)]
+    calls += [(15, 13, _SHARED_ROWS)] if N <= _SHARED_ROWS else []
+    results, buffers = [], [weakref.ref(seppoly._shared)]
+    for b, j, n in calls:
+        P, Q, drop = rng.random((n, b)), rng.random((n, b)), rng.integers(0, b, n)
+        for call, got in (((P, Q, j, None), (sep_batch(P, Q, j),)),
+                          ((P, Q, j, drop), _sep_partials(P, Q, j, drop))):
+            results.append((call, got, [g.copy() for g in got]))
+        if seppoly._shared is not buffers[-1]():
+            buffers.append(weakref.ref(seppoly._shared))
+        assert all(ref() is None for ref in buffers[:-1]), (b, j, n)
+    if N <= _SHARED_ROWS:
+        assert len(buffers) >= 3
+    else:
+        assert seppoly._shared.size == 0
+    seppoly._views.cache_clear()
+    for (P, Q, j, drop), got, old in results:
+        fresh = (sep_batch_per_call(P, Q, j),) if drop is None else sep_partials_per_call(P, Q, j, drop)
+        for g, o, f in zip(got, old, fresh, strict=True):
+            assert g.tobytes() == o.tobytes() == f.tobytes(), (P.shape, j)
+    outputs = [g for _call, got, _old in results for g in got]
+    for i, g in enumerate(outputs):
+        assert not any(np.shares_memory(g, other) for other in outputs[i + 1 :])
 
 
 def test_sep_partials_match_exact_differences():
