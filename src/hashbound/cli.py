@@ -69,7 +69,7 @@ def _resolve_runs(b, k, j, partition, eps_value):
         pre = presets.PARTITION_PRESETS.get((b, k))
         if pre is not None and partition in ("auto", pre.kind.value):
             runs.append((j if j is not None else pre.j, pre.spec()))
-        if (b, k) in presets.UNIFORM_GLOBAL_MAX_PAIRS or not runs:
+        if not runs:
             runs.append((j, None))  # global path only
         if pre is None and (b, k) not in presets.UNIFORM_GLOBAL_MAX_PAIRS:
             raise click.UsageError(

@@ -14,8 +14,10 @@ configurations: vectors made of constant blocks drawn from {0, eps, 1-eps, 1}
 and repeated-value blocks whose common values are affine in at most three
 free variables after eliminating one normalization identity per vector.
 
-This module builds those configuration lists.  Optimizing each configuration
-is :mod:`hashbound.optimize`'s job.
+This module builds those configuration lists.  Each configuration keeps its
+affine map as block arrays, for structure, and at coordinate level
+(``Configuration.coords``), the one map that is evaluated.  Optimizing each
+configuration is :mod:`hashbound.optimize`'s job.
 
 Conventions used by every family below:
 
@@ -154,6 +156,8 @@ class Configuration:
 
     @functools.cached_property
     def arrays(self) -> BlockArrays:
+        """The blocks as arrays: the structure ``coords`` and ``chain_rule``
+        are built from; every evaluation reads ``coords``."""
         blocks = self.blocks_p + self.blocks_q
         coef = np.zeros((len(blocks), self.dim))
         for row, blk in enumerate(blocks):
@@ -165,8 +169,9 @@ class Configuration:
 
     @functools.cached_property
     def coords(self) -> BlockArrays:
-        """``arrays`` at coordinate level, p coordinates first: each block
-        repeated by its mult, so every mult is 1, its band padded by ``_FEAS_TOL``."""
+        """The affine map that is evaluated, at coordinate level, p coordinates
+        first: each block of ``arrays`` repeated by its mult, so every mult is
+        1, its band padded by ``_FEAS_TOL``."""
         const, coef, lo, hi, mult = (np.repeat(v, self.arrays.mult, axis=0) for v in self.arrays)
         return BlockArrays(const, coef, lo - _FEAS_TOL, hi + _FEAS_TOL, np.ones_like(mult))
 
@@ -183,43 +188,36 @@ class Configuration:
         return starts, lengths * A.coef[owner[starts]], lengths * A.coef[owner[b + starts]]
 
     def block_values(self, X: np.ndarray) -> np.ndarray:
-        """Every block's value at each row of X (N, dim), shape (N, blocks):
-        const, then coef * x added one free variable at a time in index order."""
-        A = self.arrays
-        V = np.repeat(A.const[None], X.shape[0], axis=0)
-        for k in range(self.dim):
-            V += A.coef[:, k] * X[:, k, None]
-        return V
-
-    def block_ranges(self, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Range of every block value over each box [los, his], shape (n, blocks)
-        twice: interval arithmetic adding the terms of ``block_values`` in its
-        order, so by monotone rounding each end is that routine's value at a
-        corner of the box, and a point box gets its block values exactly."""
-        A = self.arrays
-        vlo = np.repeat(A.const[None], los.shape[0], axis=0)
-        vhi = vlo.copy()
-        for k in range(self.dim):
-            at_lo, at_hi = A.coef[:, k] * los[:, k, None], A.coef[:, k] * his[:, k, None]
-            vlo += np.minimum(at_lo, at_hi)
-            vhi += np.maximum(at_lo, at_hi)
-        return vlo, vhi
-
-    def spread(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-block columns V (N, blocks) repeated into coordinates (P, Q), each (N, b)."""
-        R = np.repeat(V, self.arrays.mult, axis=1)
-        return R[:, : self.b], R[:, self.b :]
-
-    def assemble(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Substitute assignments X (N, dim) -> (P, Q, feasible mask): ``block_values``
-        spread, coordinate-major, its terms added in its order on ``coords``."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Every coordinate's value at each row of X (N, dim), shape (N, 2b),
+        p first: const, then coef * x added one free variable at a time in
+        index order, on ``coords`` built coordinate-major."""
         C = self.coords
         R = np.repeat(C.const[:, None], X.shape[0], axis=1)
         for k in range(self.dim):
             R += np.multiply.outer(C.coef[:, k], X[:, k])
-        feas = ((R >= C.lo[:, None]) & (R <= C.hi[:, None])).all(axis=0)
-        return R[: self.b].T, R[self.b :].T, feas
+        return R.T
+
+    def block_ranges(self, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Range of every coordinate's value over each box [los, his], shape
+        (n, 2b) twice, p first: interval arithmetic adding the terms of
+        ``block_values`` in its order, so by monotone rounding each end is that
+        routine's value at a corner of the box, and a point box gets its
+        values exactly."""
+        C = self.coords
+        vlo = np.repeat(C.const[None], los.shape[0], axis=0)
+        vhi = vlo.copy()
+        for k in range(self.dim):
+            at_lo, at_hi = C.coef[:, k] * los[:, k, None], C.coef[:, k] * his[:, k, None]
+            vlo += np.minimum(at_lo, at_hi)
+            vhi += np.maximum(at_lo, at_hi)
+        return vlo, vhi
+
+    def assemble(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Substitute assignments X (N, dim) -> (P, Q, feasible mask):
+        ``block_values`` and whether each row stays in the padded bands."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        V, C = self.block_values(X), self.coords
+        return V[:, : self.b], V[:, self.b :], ((V >= C.lo) & (V <= C.hi)).all(axis=1)
 
     def point(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray, bool]:
         P, Q, feas = self.assemble(np.asarray(x, dtype=float).reshape(1, -1))

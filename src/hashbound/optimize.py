@@ -6,10 +6,10 @@ coordinates.  The polynomial only grows when any coordinate grows, so
 evaluating it at the coordinate-wise maxima of a box bounds the box
 rigorously (the corner bound); a centred (mean-value) form, whose gradient
 ranges come from the leave-one-out partials of the generating polynomial,
-split by sign where a block can be negative, bounds it too, with an
+split by sign where a coordinate can be negative, bounds it too, with an
 overestimate that shrinks quadratically with the box width where the corner
-bound's shrinks linearly.  Both read the block values and ranges of the
-configuration's affine block map (``Configuration.arrays``), and
+bound's shrinks linearly.  Both read one computation of the coordinate
+ranges of the configuration's affine map (``Configuration.coords``), and
 ``_box_bounds`` lowers the corner bound to the centred form where needed.
 
 Every configuration's box is cut once, into a uniform lattice of parts with
@@ -54,7 +54,6 @@ import numpy as np
 
 from .configs import (
     _FAMILIES,
-    _FEAS_TOL,
     CellPair,
     Configuration,
     PartitionSpec,
@@ -72,6 +71,8 @@ _SEED_COUNT = 6
 #: a configuration's lattice (``_lattices``): the low and the high corners of
 #: its parts and each part's bound
 Lattice = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: the low and the high ends of every coordinate over each box (``Configuration.block_ranges``)
+Ranges = tuple[np.ndarray, np.ndarray]
 
 
 class BudgetExceeded(RuntimeError):
@@ -237,26 +238,21 @@ def _root_box(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
     return (np.array([fv.lo for fv in config.free]), np.array([fv.hi for fv in config.free]))
 
 
-def _cell_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray, ranges=None) -> np.ndarray:
-    """Monotone interval bound per cell, -inf for provably infeasible cells.
+def _cell_bounds_batch(config: Configuration, ranges: Ranges) -> np.ndarray:
+    """Monotone interval bound per box, -inf for provably infeasible boxes.
 
-    A block range (``Configuration.block_ranges``) disjoint from the block's
-    admissible band, padded by the tolerance ``assemble`` admits
-    (``configs._FEAS_TOL``), makes the whole cell infeasible.  Otherwise the
-    polynomial at the coordinate-wise maxima, clipped to the padded band,
-    dominates every point of the cell that ``Configuration.assemble``
-    admits.  The pad must be at least that tolerance, so both read the one
-    constant.  ``ranges``, if given, are the block ranges of the boxes.
+    A coordinate's range (``ranges``) disjoint from its padded band
+    (``Configuration.coords``, padded by the tolerance ``assemble`` admits)
+    makes the whole box infeasible.  Otherwise the polynomial at the
+    coordinate-wise maxima, clipped to the padded band, dominates every point
+    of the box that ``Configuration.assemble`` admits: both read one band.
     """
-    A = config.arrays
-    vlo, vhi = config.block_ranges(los, his) if ranges is None else ranges
-    band_lo, band_hi = A.lo - _FEAS_TOL, A.hi + _FEAS_TOL
-    feas = ((vhi >= band_lo) & (vlo <= band_hi)).all(axis=1)
-    P, Q = config.spread(np.maximum(np.minimum(vhi, band_hi), 0.0))
-    out = np.full(los.shape[0], -np.inf)
+    C, (vlo, vhi), b = config.coords, ranges, config.b
+    feas = ((vhi >= C.lo) & (vlo <= C.hi)).all(axis=1)
+    out = np.full(len(vhi), -np.inf)
     if feas.any():
-        idx = np.nonzero(feas)[0]
-        out[idx] = sep_batch(P[idx], Q[idx], config.j)
+        top = np.maximum(np.minimum(vhi[feas], C.hi), 0.0)
+        out[feas] = sep_batch(top[:, :b], top[:, b:], config.j)
     return out
 
 
@@ -267,7 +263,7 @@ def _round_rel(b: int) -> float:
     ``sep_batch`` or ``_sep_partials`` is rounded at most three times per
     coordinate and twice at the end, the two subtractions of a split lower
     end (``_gradient_bounds``) twice more, and the chain rule (one product,
-    at most 2b sums over runs), the spread and the final sums at most
+    at most 2b sums over runs), the radius terms and the final sums at most
     2b + 7 more times.  Doubled, because the bound must also dominate the
     rounded ``sep_batch`` value at any point of the box, whose error is at
     most gamma_n times the same magnitude sum.
@@ -276,29 +272,28 @@ def _round_rel(b: int) -> float:
     return 2.0 * nu / (1.0 - nu)
 
 
-def _gradient_bounds(config: Configuration, los: np.ndarray, his: np.ndarray,
-                     ranges=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gradient_bounds(config: Configuration, ranges: Ranges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """[G_lo, G_hi], enclosing the unclipped polynomial's gradient on each
     box, and |G|, bounding the magnitudes of the terms summed into either end.
     Each partial g (``_sep_partials``) has nonnegative coefficients, so with
-    M the largest block magnitudes, L+ the low block ends raised to 0 and M0
-    equal to M with the blocks that can be negative set to 0, g lies in
-    [g(L+) - (g(M) - g(M0)), g(M)]: the monomials free of those blocks grow
-    with their entries, and the others are each at most their value at M in
-    magnitude, values that sum to g(M) - g(M0).  The chain rule goes through
-    the affine blocks (``Configuration.chain_rule``); one pass covers every
-    box, corner set and run.  ``ranges`` as in ``_cell_bounds_batch``."""
-    n = los.shape[0]
+    M the largest coordinate magnitudes, L+ the low coordinate ends raised to
+    0 and M0 equal to M with the coordinates that can be negative set to 0,
+    g lies in [g(L+) - (g(M) - g(M0)), g(M)]: the monomials free of those
+    coordinates grow with their entries, and the others are each at most
+    their value at M in magnitude, values that sum to g(M) - g(M0).  The
+    chain rule goes through the affine blocks (``Configuration.chain_rule``);
+    one pass covers every box, corner set and run.  ``ranges`` as in
+    ``_cell_bounds_batch``."""
+    (vlo, vhi), n, b = ranges, len(ranges[0]), config.b
     starts, Cp, Cq = config.chain_rule
-    vlo, vhi = config.block_ranges(los, his) if ranges is None else ranges
-    # M and L+ for every box, M0 where some block can be negative; each row
+    # M and L+ for every box, M0 where some coordinate can be negative; each row
     # repeated once per run, leaving out the run's first coordinate
     neg = vlo < 0.0
     split = np.nonzero(neg.any(axis=1))[0]
     top = np.maximum(np.abs(vlo), vhi)
     corners = np.concatenate((top, np.maximum(vlo, 0.0), np.where(neg[split], 0.0, top[split])))
-    P, Q = config.spread(np.repeat(corners, len(starts), axis=0))
-    dp, dq = _sep_partials(P, Q, config.j, np.tile(starts, len(corners)))
+    rows = np.repeat(corners, len(starts), axis=0)
+    dp, dq = _sep_partials(rows[:, :b], rows[:, b:], config.j, np.tile(starts, len(corners)))
     dp, dq = dp.reshape(len(corners), -1), dq.reshape(len(corners), -1)
     for g in (dp, dq):   # the lower ends, g(L+) - (g(M) - g(M0)) where split
         g[n : 2 * n][split] -= g[:n][split] - g[2 * n :]
@@ -311,7 +306,7 @@ def _gradient_bounds(config: Configuration, los: np.ndarray, his: np.ndarray,
     return g_lo, g_hi, g_abs
 
 
-def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray, ranges=None) -> np.ndarray:
+def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarray, ranges: Ranges) -> np.ndarray:
     """Centred-form (mean-value) upper bound of the polynomial on each box.
 
     f(c) + sum_k r_k max(|G_lo,k|, |G_hi,k|) + margin, where c is the box
@@ -325,27 +320,28 @@ def _centred_bounds_batch(config: Configuration, los: np.ndarray, his: np.ndarra
     Rounding: the result is raised by ``_round_rel(b)`` times
     S(|v(c)|) + sum_k r_k |G|_k, where |G|_k bounds the magnitudes of the
     chain-rule terms, so it cannot fall below a value ``sep_batch`` computes
-    inside the box.  At a centre with a negative block value f(c) cancels,
+    inside the box.  At a centre with a negative coordinate f(c) cancels,
     so S at the magnitudes |v(c)| scales the margin there instead of f(c);
-    such boxes keep their centred bound rather than being skipped.  Block
-    values come from ``Configuration.block_values``, as in ``assemble``, and
-    their ranges from ``Configuration.block_ranges``, which adds the same
-    terms in the same order; the rounding of those affine sums is not
-    covered, as in the corner bound.
+    such boxes keep their centred bound rather than being skipped.  The
+    coordinates come from ``Configuration.block_values``, as in ``assemble``,
+    and ``ranges`` (``Configuration.block_ranges``) adds the same terms in
+    the same order; the rounding of those affine sums is not covered, as in
+    the corner bound.
     """
-    j = config.j
+    b, j = config.b, config.j
     centre = 0.5 * (los + his)
     radius = np.maximum(his - centre, centre - los)
-    g_lo, g_hi, g_abs = _gradient_bounds(config, los, his, ranges)
+    g_lo, g_hi, g_abs = _gradient_bounds(config, ranges)
     at_centre = config.block_values(centre)
-    value = sep_batch(*config.spread(at_centre), j)
+    value = sep_batch(at_centre[:, :b], at_centre[:, b:], j)
     scale = value.copy()
-    cancels = np.nonzero((at_centre < 0.0).any(axis=1))[0]
-    if cancels.size:
-        scale[cancels] = sep_batch(*config.spread(np.abs(at_centre[cancels])), j)
-    spread = (radius * np.maximum(np.abs(g_lo), np.abs(g_hi))).sum(axis=1)
-    margin = _round_rel(config.b) * (scale + (radius * g_abs).sum(axis=1))
-    return value + spread + margin
+    cancels = (at_centre < 0.0).any(axis=1)
+    if cancels.any():
+        magnitude = np.abs(at_centre[cancels])
+        scale[cancels] = sep_batch(magnitude[:, :b], magnitude[:, b:], j)
+    reach = (radius * np.maximum(np.abs(g_lo), np.abs(g_hi))).sum(axis=1)
+    margin = _round_rel(b) * (scale + (radius * g_abs).sum(axis=1))
+    return value + reach + margin
 
 
 def _box_bounds(config: Configuration, los: np.ndarray, his: np.ndarray, floor: float) -> np.ndarray:
@@ -354,10 +350,10 @@ def _box_bounds(config: Configuration, los: np.ndarray, his: np.ndarray, floor: 
     -inf marks a provably infeasible box.  Both forms dominate every point
     ``Configuration.assemble`` admits in the box; both read one ``block_ranges``."""
     ranges = config.block_ranges(los, his)
-    bounds = _cell_bounds_batch(config, los, his, ranges)
+    bounds = _cell_bounds_batch(config, ranges)
     above = np.nonzero(bounds > floor)[0]
     if config.dim and above.size:
-        ranges = [r[above] for r in ranges]
+        ranges = tuple(r[above] for r in ranges)
         bounds[above] = np.minimum(bounds[above], _centred_bounds_batch(config, los[above], his[above], ranges))
     return bounds
 

@@ -27,9 +27,9 @@ one coordinate at a time over stacks of vector pairs, truncated to degree j
 in t and degree 1 in s; ``_sep_partials`` runs the same recurrence with one
 coordinate's factor left out per row, which yields the partial derivatives
 the certifier's centred-form bound needs.  Both share one banded pass,
-``_generate``, which runs calls of up to 1,024 rows in one module-level
-workspace on cached views; ``sep_naive`` enumerates tuples literally and
-serves as the verification battery's independent oracle for small b.
+``_generate``, which runs every call in chunks in one module-level workspace
+on cached views; ``sep_naive`` enumerates tuples literally and serves as the
+verification battery's independent oracle for small b.
 
 All monomials have nonnegative coefficients, and every coefficient update is
 a sum of products of nonnegative numbers, so evaluation involves no
@@ -51,10 +51,10 @@ import numpy as np
 #: hard cap on b for the naive evaluator (factorial blowup guard)
 NAIVE_B_CAP = 8
 
-#: rows per chunk of the bulk evaluator, keeps one call's workspace near 2 MB at b = 7
+#: rows per chunk of the bulk evaluator, keeps the workspace near 2 MB at b = 7
 _BATCH_CHUNK = 4096
-#: calls of at most this many rows share one workspace (``_views``); not for concurrent threads
-_SHARED_ROWS, _shared = 1024, np.empty(0)
+#: the one workspace every call runs in (``_views``); not for concurrent threads
+_work = np.empty(0)
 
 
 class DimensionMismatch(ValueError):
@@ -122,7 +122,8 @@ def sep_uniform_exact(params: SepParams) -> float:
 @functools.lru_cache(maxsize=256)
 def _row_bands(b: int, ja: int, jb: int) -> tuple[int, tuple[slice, ...], tuple[tuple, ...]]:
     """``_generate``'s workspace: its rows, those of V, W, A and B (products
-    T follow), and the updates in order as rows (factor, read, product, to).
+    T follow), and the updates in order as (factor, read, product, to): the
+    factor a row, the others (first, stop) row bands.
     Only the rows of A and B that can still change ``A[ja]`` or ``B[jb]`` are
     updated; ``A[0]`` is 1, so ``ja = 0`` reads ``B[jb]`` alone.  Before
     coordinate i, rows above i of A and above i-1 of B are still zero; with
@@ -140,21 +141,23 @@ def _row_bands(b: int, ja: int, jb: int) -> tuple[int, tuple[slice, ...], tuple[
                                (b + i, a0 + lo, b0 + lo, top + 1 - lo),           # B[a] += W_i A[a]
                                (i, a0 + lo_a - 1, a0 + lo_a, top_a + 1 - lo_a)):  # A[a] += V_i A[a-1]
             if m > 0:
-                updates.append((x, slice(read, read + m), slice(t0, t0 + m), slice(to, to + m)))
+                updates.append((x, (read, read + m), (t0, t0 + m), (to, to + m)))
     return t0 + b0 - a0, (slice(0, b), slice(b, a0), slice(a0, b0), slice(b0, t0)), tuple(updates)
 
 
 @functools.cache
-def _views(b: int, ja: int, jb: int, width: int, work: np.ndarray | None = None) -> tuple[list, list]:
-    """``_generate``'s stacks and updates on ``work``, each row (2, width), P side
-    first; cached on the shared workspace (``work`` None), whose growth drops them."""
-    global _shared
+def _views(b: int, ja: int, jb: int, width: int) -> tuple[list, list]:
+    """``_generate``'s stacks and updates on the workspace, each row (2, width),
+    P side first, one view per distinct row or band; growing the workspace
+    drops every cached view."""
+    global _work
     rows, stacks, plan = _row_bands(b, ja, jb)
-    if work is None and _shared.size < rows * 2 * width:
+    if _work.size < rows * 2 * width:
         _views.cache_clear()
-        _shared = np.empty(rows * 2 * _SHARED_ROWS)
-    ws = (_shared if work is None else work)[: rows * 2 * width].reshape(rows, 2, width)
-    return [ws[s] for s in stacks], [(ws[x], ws[r], ws[p], ws[t]) for x, r, p, t in plan]
+        _work = np.empty(rows * 2 * _BATCH_CHUNK)
+    ws = _work[: rows * 2 * width].reshape(rows, 2, width)
+    at = {r: ws[r if isinstance(r, int) else slice(*r)] for r in {r for update in plan for r in update}}
+    return [ws[s] for s in stacks], [tuple(at[r] for r in update) for update in plan]
 
 
 def _generate(P: np.ndarray, Q: np.ndarray, ja: int, jb: int,
@@ -165,17 +168,14 @@ def _generate(P: np.ndarray, Q: np.ndarray, ja: int, jb: int,
     factor of coordinate ``drop[r]`` in row r of both stacks if given:
     ``A[a]`` is the [t^a s^0] one and ``B[a]`` the [t^a s^1] one, each
     (2, width), P side first; only ``A[ja]`` and ``B[jb]`` are complete
-    (``_row_bands``).  A call of at most ``_SHARED_ROWS`` rows runs on the
-    shared views of width n rounded up to a multiple of 64 (``_views``), its
-    padded columns zeroed; a larger one allocates its own.  Each product goes
-    to T before its add, so an update reads the previous coordinate's rows."""
+    (``_row_bands``).  Each chunk runs on the workspace's views of width n
+    rounded up to a multiple of 64 (``_views``), its padded columns zeroed.
+    Each product goes to T before its add, so an update reads the previous
+    coordinate's rows."""
     N, b = P.shape
-    if N > _SHARED_ROWS:   # a workspace of its own, viewed once per chunk size
-        work = np.empty(_row_bands(b, ja, jb)[0] * 2 * min(N, _BATCH_CHUNK))
-        own = functools.cache(lambda n: _views.__wrapped__(b, ja, jb, n, work))
     for lo in range(0, N, _BATCH_CHUNK):
         n = min(_BATCH_CHUNK, N - lo)
-        (V, W, A, B), updates = _views(b, ja, jb, -(-n // 64) * 64) if N <= _SHARED_ROWS else own(n)
+        (V, W, A, B), updates = _views(b, ja, jb, -(-n // 64) * 64)
         # one row per coordinate, one copy from either memory order
         V[:, 0, :n], V[:, 1, :n], V[:, :, n:] = P[lo : lo + n].T, Q[lo : lo + n].T, 0.0
         if drop is not None:

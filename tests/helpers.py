@@ -12,7 +12,7 @@ bitmasks where the engine compares symbol sets.  The exceptions:
 ``sep_by_full_generating_pass`` and ``sep_partials_unbanded`` repeat the
 arithmetic of ``sep_batch`` and ``_sep_partials`` on purpose, without their
 row restriction, ``sep_batch_per_call`` and ``sep_partials_per_call`` with
-a workspace of their own per call instead of the shared one of small calls,
+a workspace of their own per call instead of the one shared workspace,
 and ``pick_seeds_loop`` repeats the seed choice of the
 local search one candidate at a time, so that a test can require each pair
 to agree bit for bit; ``lattice_reference`` builds one configuration's
@@ -22,7 +22,11 @@ bit, and ``root_bound`` reads its bounds; ``dense_scan_max``, a reference
 for the optimizer's search rather than for the evaluator, evaluates with
 ``sep_batch``; and
 ``best_config_exhaustive``, a reference for the optimizer's pruning, runs
-its per-configuration search on every configuration.
+its per-configuration search on every configuration; ``block_level_values``
+and ``block_level_ranges`` evaluate a configuration's affine map one block
+at a time, ``spread`` repeating each block into its coordinates, so that a
+test can require the coordinate-level map (``Configuration.coords``) to
+match it bit for bit.
 """
 
 import itertools
@@ -120,7 +124,8 @@ def _generate_per_call(P: np.ndarray, Q: np.ndarray, ja: int, jb: int,
         n = min(_BATCH_CHUNK, N - lo)
         if n not in views:
             ws = work[: rows * 2 * n].reshape(rows, 2 * n)
-            views[n] = [ws[s] for s in stacks], [(ws[x], ws[r], ws[p], ws[t]) for x, r, p, t in plan]
+            views[n] = [ws[s] for s in stacks], [(ws[x], *(ws[slice(*at)] for at in bands))
+                                                 for x, *bands in plan]
         (V, W, A, B), updates = views[n]
         # one row per coordinate, one copy from either memory order
         V[:, :n], V[:, n:] = P[lo : lo + n].T, Q[lo : lo + n].T
@@ -136,8 +141,8 @@ def _generate_per_call(P: np.ndarray, Q: np.ndarray, ja: int, jb: int,
 
 def sep_batch_per_call(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
     """``sep_batch`` with a workspace of its own for every call
-    (``_generate_per_call``): the reference for the shared workspace of
-    small calls and its padded widths, which must not change a single bit."""
+    (``_generate_per_call``): the reference for the one shared workspace
+    and its padded widths, which must not change a single bit."""
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     jf = float(math.factorial(j))
     out = np.empty(P.shape[0])
@@ -432,6 +437,36 @@ def dense_scan_max(config: Configuration, grid: int = 400) -> float:
     return float(sep_batch(P[feas], Q[feas], config.j).max())
 
 
+def block_level_values(config: Configuration, X: np.ndarray) -> np.ndarray:
+    """Every block's value at each row of X (N, dim), shape (N, blocks), on
+    the block-level map ``Configuration.arrays``: const, then coef * x added
+    one free variable at a time in index order."""
+    A = config.arrays
+    V = np.repeat(A.const[None], X.shape[0], axis=0)
+    for k in range(config.dim):
+        V += A.coef[:, k] * X[:, k, None]
+    return V
+
+
+def block_level_ranges(config: Configuration, los: np.ndarray, his: np.ndarray):
+    """Range of every block's value over each box [los, his], shape
+    (n, blocks) twice, by interval arithmetic on ``Configuration.arrays``
+    adding the terms of ``block_level_values`` in its order."""
+    A = config.arrays
+    vlo = np.repeat(A.const[None], los.shape[0], axis=0)
+    vhi = vlo.copy()
+    for k in range(config.dim):
+        at_lo, at_hi = A.coef[:, k] * los[:, k, None], A.coef[:, k] * his[:, k, None]
+        vlo += np.minimum(at_lo, at_hi)
+        vhi += np.maximum(at_lo, at_hi)
+    return vlo, vhi
+
+
+def spread(config: Configuration, V: np.ndarray) -> np.ndarray:
+    """Per-block columns V (N, blocks) repeated into coordinate rows (N, 2b), p first."""
+    return np.repeat(V, config.arrays.mult, axis=1)
+
+
 def lattice_reference(config: Configuration):
     """The configuration's box split into a uniform lattice of parts.
 
@@ -450,7 +485,7 @@ def lattice_reference(config: Configuration):
         edges.append(e)
     los = np.array(list(itertools.product(*(e[:-1] for e in edges))))
     his = np.array(list(itertools.product(*(e[1:] for e in edges))))
-    return los, his, _cell_bounds_batch(config, los, his)
+    return los, his, _cell_bounds_batch(config, config.block_ranges(los, his))
 
 
 def root_bound(config: Configuration) -> float:

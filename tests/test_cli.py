@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -109,7 +110,8 @@ def test_table_table3_json(capsys):
 
 
 def test_table_table1_subset(capsys, monkeypatch):
-    # full table1 is minutes of compute; exercise the path on two rows
+    # the printed columns of one row per path; the whole table (about 2 s)
+    # is pinned by test_table_table1_csv_is_pinned
     subset = tuple(r for r in presets.TABLE1 if (r.b, r.k) in ((5, 5), (7, 6)))
     monkeypatch.setattr(presets, "TABLE1", subset)
     code, out, _ = run(capsys, "table", "--preset", "table1", "--format", "csv")
@@ -119,6 +121,19 @@ def test_table_table1_subset(capsys, monkeypatch):
     assert rows[0]["ours"] == "0.16894"
     assert rows[1]["ours"] == "0.19897"
     assert rows[1]["path"] == "global"
+
+
+#: sha256 of ``table --preset table1 --format csv``
+TABLE1_CSV_SHA256 = "fbf7492075e8e4cc9788d8865320664a679073d2e321598afd7dbf924ee39373"
+
+
+def test_table_table1_csv_is_pinned(tmp_path):
+    # every row of the published table, the rounded bounds and their _raw
+    # shadows, to the last byte: a change meant to leave the outputs as they
+    # are must not move it
+    out = tmp_path / "table1.csv"
+    assert main(["table", "--preset", "table1", "--format", "csv", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE1_CSV_SHA256
 
 
 def test_table_mi_tables_subset(capsys, monkeypatch):

@@ -17,7 +17,7 @@ from hashbound.configs import (
 )
 from hashbound.optimize import maximize_config
 
-from helpers import root_bound
+from helpers import block_level_values, root_bound, spread
 
 
 def test_partition_spec_validation():
@@ -161,8 +161,8 @@ def test_assemble_feasibility_mask():
 def test_assemble_matches_the_block_map_spread():
     # assemble works on the coordinate-level map; at random points in and
     # around the box of every configuration of the 12 presets and the two
-    # eps-sweep cells it must give the block values spread to coordinates,
-    # and the block-level band mask, to the last bit
+    # eps-sweep cells it must give the block-level values spread to
+    # coordinates, and the block-level band mask, to the last bit
     rng = np.random.default_rng(71)
     cells = [(pre.spec(), b, pre.j) for (b, _k), pre in sorted(presets.PARTITION_PRESETS.items())]
     cells += [(PartitionSpec(PartitionKind.MIN_VALUE, 0.047), 6, 3),
@@ -174,8 +174,9 @@ def test_assemble_matches_the_block_map_spread():
                 lo, hi = (np.array([getattr(fv, end) for fv in cfg.free]) for end in ("lo", "hi"))
                 X = lo + (hi - lo) * rng.uniform(-0.25, 1.25, (40, cfg.dim))
                 P, Q, feas = cfg.assemble(X)
-                V, A = cfg.block_values(X), cfg.arrays
-                want = (*cfg.spread(V), ((V >= A.lo - _FEAS_TOL) & (V <= A.hi + _FEAS_TOL)).all(axis=1))
+                V, A = block_level_values(cfg, X), cfg.arrays
+                R, mask = spread(cfg, V), ((V >= A.lo - _FEAS_TOL) & (V <= A.hi + _FEAS_TOL)).all(axis=1)
+                want = (R[:, : cfg.b], R[:, cfg.b :], mask)
                 for got, ref in zip((P, Q, feas), want, strict=True):
                     assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), cfg.describe()
                 admitted, total = admitted + int(feas.sum()), total + len(feas)

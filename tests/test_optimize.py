@@ -37,10 +37,12 @@ from hashbound.seppoly import _sep_partials, sep_batch, sep_uniform_exact, SepPa
 
 from helpers import (
     best_config_exhaustive,
+    block_level_ranges,
     dense_scan_max,
     lattice_reference,
     pick_seeds_loop,
     root_bound,
+    spread,
 )
 
 
@@ -219,10 +221,9 @@ def test_centred_bound_dominates_sampled_points():
         boxes = _sub_boxes(rng, lo0, hi0)
         los = np.array([lo for lo, _ in boxes])
         his = np.array([hi for _, hi in boxes])
-        bounds = _centred_bounds_batch(cfg, los, his)
         vlo, vhi = cfg.block_ranges(los, his)
-        blocks_p = len(cfg.blocks_p)
-        for side in (slice(None, blocks_p), slice(blocks_p, None)):
+        bounds = _centred_bounds_batch(cfg, los, his, (vlo, vhi))
+        for side in (slice(None, cfg.b), slice(cfg.b, None)):
             crossing += int(((vlo[:, side] < 0.0) & (vhi[:, side] > 0.0)).any(axis=1).sum())
         for (lo, hi), bound in zip(boxes, bounds):
             X = np.clip(lo + (hi - lo) * rng.random((2000, cfg.dim)), lo, hi)
@@ -251,12 +252,12 @@ def test_split_gradient_enclosure_contains_sampled_partials():
         if not (cfg.block_ranges(lo[None], hi[None])[0] < 0.0).any():
             continue
         split += 1
-        g_lo, g_hi, g_abs = (g[0] for g in _gradient_bounds(cfg, lo[None], hi[None]))
+        g_lo, g_hi, g_abs = (g[0] for g in _gradient_bounds(cfg, cfg.block_ranges(lo[None], hi[None])))
         corners = np.array(list(itertools.product(*zip(lo, hi))))
         X = np.vstack([np.clip(lo + (hi - lo) * rng.random((2000, cfg.dim)), lo, hi), corners])
         starts, Cp, Cq = cfg.chain_rule
-        P, Q = cfg.spread(np.repeat(cfg.block_values(X), len(starts), axis=0))
-        dp, dq = _sep_partials(P, Q, cfg.j, np.tile(starts, len(X)))
+        rows = np.repeat(cfg.block_values(X), len(starts), axis=0)
+        dp, dq = _sep_partials(rows[:, : cfg.b], rows[:, cfg.b :], cfg.j, np.tile(starts, len(X)))
         grad = dp.reshape(len(X), -1) @ Cp + dq.reshape(len(X), -1) @ Cq
         slack = 1e-12 * g_abs
         assert (g_lo - slack <= grad).all() and (grad <= g_hi + slack).all(), (cfg.describe(), lo, hi)
@@ -351,8 +352,10 @@ def test_config_maxima_are_pinned():
 
 
 def test_block_ranges_enclose_block_values():
-    # every block value at a sampled point or a corner of a box lies in the
-    # block's range over that box, and a point box's range is its value
+    # the coordinate ranges are the block-level ranges spread to coordinates,
+    # to the last bit; every coordinate value at a sampled point or a corner
+    # of a box lies in its range over that box, and a point box's range is
+    # its value
     rng = np.random.default_rng(17)
     configs = [c for c in _preset_and_sweep_configurations() if c.dim]
     configs += [_swinging_configuration(rng) for _ in range(40)]
@@ -362,6 +365,8 @@ def test_block_ranges_enclose_block_values():
         los = np.array([lo for lo, _ in boxes])
         his = np.array([hi for _, hi in boxes])
         vlo, vhi = cfg.block_ranges(los, his)
+        for got, want in zip((vlo, vhi), block_level_ranges(cfg, los, his), strict=True):
+            assert got.tobytes() == spread(cfg, want).tobytes(), cfg.describe()
         for (lo, hi), box_lo, box_hi in zip(boxes, vlo, vhi):
             corners = np.array(list(itertools.product(*zip(lo, hi))))
             X = np.vstack([np.clip(lo + (hi - lo) * rng.random((200, cfg.dim)), lo, hi), corners])
@@ -387,8 +392,9 @@ def test_centred_bound_overestimate_is_second_order():
         lo, hi = np.array([[x0 - h]]), np.array([[x0 + h]])
         P, Q, _feas = cfg.assemble(np.linspace(x0 - h, x0 + h, 2001)[:, None])
         top = sep_batch(P, Q, cfg.j).max()
-        excess[h] = (_centred_bounds_batch(cfg, lo, hi)[0] - top,
-                     _cell_bounds_batch(cfg, lo, hi)[0] - top)
+        ranges = cfg.block_ranges(lo, hi)
+        excess[h] = (_centred_bounds_batch(cfg, lo, hi, ranges)[0] - top,
+                     _cell_bounds_batch(cfg, ranges)[0] - top)
     centred_ratio = excess[1e-2][0] / excess[1e-3][0]
     corner_ratio = excess[1e-2][1] / excess[1e-3][1]
     assert centred_ratio > 50.0
@@ -726,7 +732,7 @@ def test_split_root_bound_between_maximum_and_corner_bound():
     checked = 0
     for cfg in _preset_and_sweep_configurations():
         lo, hi = _root_box(cfg)
-        corner = _cell_bounds_batch(cfg, lo[None, :], hi[None, :])[0]
+        corner = _cell_bounds_batch(cfg, cfg.block_ranges(lo[None, :], hi[None, :]))[0]
         split = root_bound(cfg)
         assert split <= corner, cfg.describe()
         res = maximize_config(cfg)
@@ -931,7 +937,7 @@ def test_cell_bound_covers_padded_block_values():
     P, Q, feas = cfg.assemble(np.array([[x]]))
     assert feas[0] and hi < P[0, 0] <= hi + _FEAS_PAD
     value = sep_batch(P, Q, cfg.j)[0]
-    bound = _cell_bounds_batch(cfg, np.array([[0.0]]), np.array([[x]]))[0]
+    bound = _cell_bounds_batch(cfg, cfg.block_ranges(np.array([[0.0]]), np.array([[x]])))[0]
     assert bound >= value
 
 

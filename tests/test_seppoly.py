@@ -13,7 +13,6 @@ from hashbound.seppoly import (
     NaiveCapExceeded,
     SepParams,
     _BATCH_CHUNK,
-    _SHARED_ROWS,
     _sep_partials,
     sep_batch,
     sep_naive,
@@ -215,11 +214,11 @@ def test_memory_order_leaves_results_bit_identical(N):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_shared_workspace_is_bit_identical_to_per_call_workspaces(order):
-    # calls of up to _SHARED_ROWS rows run on padded widths in the shared
-    # workspace, larger ones in chunks of their own: every b, j and size
-    # around the widths, the shared limit and the chunk, to the last bit
+    # every call runs in chunks on padded widths in the one workspace: every
+    # b, j and size around the widths, 1,024 rows, the chunk and several
+    # chunks, against a workspace of its own per call, to the last bit
     rng = np.random.default_rng(61)
-    sizes = (1, 63, 64, 65, 170, _SHARED_ROWS, _SHARED_ROWS + 1, _BATCH_CHUNK - 1, _BATCH_CHUNK + 1)
+    sizes = (1, 63, 64, 65, 170, 1024, 1025, _BATCH_CHUNK - 1, _BATCH_CHUNK + 1, 2 * _BATCH_CHUNK + 65)
     for b in range(3, 16):
         P, Q = rng.random((max(sizes), b)), rng.random((max(sizes), b))
         P[rng.random(P.shape) < 0.25] = 0.0
@@ -235,30 +234,25 @@ def test_shared_workspace_is_bit_identical_to_per_call_workspaces(order):
 
 @pytest.mark.parametrize("N", [1, 170, _BATCH_CHUNK + 1])
 def test_back_to_back_calls_leave_earlier_results_intact(N, monkeypatch):
-    # small calls share one workspace: calls of two sizes in one padded
+    # every call runs in one workspace: calls of two sizes in one padded
     # width, interleaved over three (b, j) and both entry points, must not
     # write into what an earlier call returned, and each result equals a
-    # fresh computation; a (15,13) call of _SHARED_ROWS rows grows the
-    # workspace, which lets every older buffer go, and a call of more than
-    # _SHARED_ROWS rows never touches it
-    monkeypatch.setattr(seppoly, "_shared", np.empty(0))
+    # fresh computation; a (15,13) call of a whole chunk grows the
+    # workspace, which lets every older buffer go
+    monkeypatch.setattr(seppoly, "_work", np.empty(0))
     seppoly._views.cache_clear()
     rng = np.random.default_rng(53 + N)
-    calls = [(b, j, n) for b, j in ((5, 3), (7, 5), (15, 13)) for n in (N, N + 1)]
-    calls += [(15, 13, _SHARED_ROWS)] if N <= _SHARED_ROWS else []
-    results, buffers = [], [weakref.ref(seppoly._shared)]
+    calls = [(b, j, n) for b, j in ((5, 3), (7, 5), (15, 13)) for n in (N, N + 1)] + [(15, 13, _BATCH_CHUNK)]
+    results, buffers = [], [weakref.ref(seppoly._work)]
     for b, j, n in calls:
         P, Q, drop = rng.random((n, b)), rng.random((n, b)), rng.integers(0, b, n)
         for call, got in (((P, Q, j, None), (sep_batch(P, Q, j),)),
                           ((P, Q, j, drop), _sep_partials(P, Q, j, drop))):
             results.append((call, got, [g.copy() for g in got]))
-        if seppoly._shared is not buffers[-1]():
-            buffers.append(weakref.ref(seppoly._shared))
+        if seppoly._work is not buffers[-1]():
+            buffers.append(weakref.ref(seppoly._work))
         assert all(ref() is None for ref in buffers[:-1]), (b, j, n)
-    if N <= _SHARED_ROWS:
-        assert len(buffers) >= 3
-    else:
-        assert seppoly._shared.size == 0
+    assert len(buffers) >= 3
     seppoly._views.cache_clear()
     for (P, Q, j, drop), got, old in results:
         fresh = (sep_batch_per_call(P, Q, j),) if drop is None else sep_partials_per_call(P, Q, j, drop)
