@@ -42,12 +42,22 @@ The max partition's m2 and the min partition's m4 range over the global
 families, which do not depend on eps.  One memo holds the global maximum per
 (b, j) and certification tolerance; ``compute_cell_max`` answers both
 selectors from it, and ``global_form_max`` reads and fills the same entries.
+
+``compute_all_cell_maxima`` deals a bound's cells, by candidate count,
+between this process and one forked child where a second CPU is free.  A
+cell is a pure function of its inputs, so every result is the one a search
+of each cell in this process gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import signal
+import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -559,11 +569,19 @@ def _best_config(
 #: them share one search per request in a process
 _GLOBAL_MAXIMA: dict[tuple[int, int, float | None], CellMaxResult] = {}
 
+_CERT_TOL = 1e-9  # the certification tolerance of a bound's cells and of the global maximum
 
-def _global_max(b: int, j: int, certify: bool, cert_tol: float, budget: Budget) -> CellMaxResult:
-    key = (b, j, cert_tol if certify else None)
+
+def _global_key(b: int, j: int, certify: bool, cert_tol: float) -> tuple[int, int, float | None]:
+    return (b, j, cert_tol if certify else None)
+
+
+def _global_max(b: int, j: int, certify: bool, cert_tol: float, budget: Budget,
+                candidates: list[Configuration] | None = None) -> CellMaxResult:
+    key = _global_key(b, j, certify, cert_tol)
     if key not in _GLOBAL_MAXIMA:  # a call that runs out of budget stores nothing
-        _GLOBAL_MAXIMA[key] = _best_config(global_candidates(b, j), "global max", certify=certify,
+        configs = global_candidates(b, j) if candidates is None else candidates
+        _GLOBAL_MAXIMA[key] = _best_config(configs, "global max", certify=certify,
                                            cert_tol=cert_tol, budget=budget)
     return _GLOBAL_MAXIMA[key]
 
@@ -575,8 +593,9 @@ def compute_cell_max(
     j: int,
     *,
     certify: bool = False,
-    cert_tol: float = 1e-9,
+    cert_tol: float = _CERT_TOL,
     budget: Budget = NO_BUDGET,
+    candidates: list[Configuration] | None = None,
 ) -> CellMaxResult:
     """Maximize over every candidate configuration of one cell-pair selector.
 
@@ -588,16 +607,90 @@ def compute_cell_max(
     configurations whose root bound lies above the maximum but whose lattice
     seeded no search.  The two selectors whose families are the global ones
     read the memoised global maximum (``global_form_max``) once the spec is
-    validated.
+    validated.  ``candidates`` is the selector's list (``enumerate_candidates``,
+    or ``global_candidates`` for the global ones) where the caller has it
+    already; otherwise it is enumerated here.
     """
     if _FAMILIES[(spec.kind, which)] is _global_max_families:
         spec.validate(b, j)
-        res = _global_max(b, j, certify, cert_tol, budget)
+        res = _global_max(b, j, certify, cert_tol, budget, candidates)
     else:
-        res = _best_config(enumerate_candidates(spec, which, b, j), f"{which.label} enumeration",
+        configs = enumerate_candidates(spec, which, b, j) if candidates is None else candidates
+        res = _best_config(configs, f"{which.label} enumeration",
                            certify=certify, cert_tol=cert_tol, budget=budget)
     exactness = "upper_bound" if (spec.kind, which) in UPPER_BOUND_ONLY else "attained"
     return replace(res, selector=which, exactness=exactness)
+
+
+def _forkable() -> bool:
+    """Whether a second process can search beside this one: ``os.fork``
+    exists, at least two CPUs are in this process's affinity set, and this
+    process runs one Python thread, so no lock can be held across the fork."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _search_split(search: Callable[[CellPair], CellMaxResult], ours: list[CellPair],
+                  theirs: list[CellPair]) -> dict[CellPair, CellMaxResult]:
+    """``search(cell)`` for every cell of both lists, keyed by cell.
+
+    With both lists non-empty and ``_forkable()``, a forked child searches
+    ``theirs`` and pickles its results, or its exception, back through a
+    pipe before it leaves by ``os._exit``, while the caller searches
+    ``ours``.  Meanwhile each runs on its own half of the caller's CPU set:
+    the scheduler can leave a forked child on its parent's CPU while
+    another CPU idles.  The caller then gets its whole CPU set back,
+    re-raises the child's exception, or raises ``RuntimeError`` with the
+    child's exit status if the child sent nothing, and always reaps the
+    child, killing it first if the caller's own search failed.  Otherwise,
+    or where the fork fails, the caller searches ``ours``, then ``theirs``.
+    """
+    pid = -1
+    if ours and theirs and _forkable():
+        cpus = sorted(os.sched_getaffinity(0))
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:   # no process to spare
+            os.close(read)
+            os.close(write)
+    if pid < 0:
+        return {which: search(which) for which in ours + theirs}
+    if pid == 0:
+        status = 1
+        try:
+            os.sched_setaffinity(0, cpus[len(cpus) // 2 :])
+            os.close(read)
+            try:
+                out = True, [search(which) for which in theirs]
+            except BaseException as exc:   # forwarded: the caller raises it
+                out = False, exc
+            data = pickle.dumps(out)
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    done = False
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            os.sched_setaffinity(0, cpus[: len(cpus) // 2])
+            found = {which: search(which) for which in ours}
+            data = pipe.read()
+        done = True
+    finally:
+        os.sched_setaffinity(0, cpus)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:   # the child sets 0 only once its whole result is written
+        raise RuntimeError(f"the forked search exited with status {status} before sending its result")
+    ok, out = pickle.loads(data)
+    if not ok:
+        raise out
+    found.update(zip(theirs, out))
+    return found
 
 
 def compute_all_cell_maxima(
@@ -608,10 +701,40 @@ def compute_all_cell_maxima(
     certify: bool = False,
     budget: Budget = NO_BUDGET,
 ) -> dict[CellPair, CellMaxResult]:
-    return {
-        which: compute_cell_max(spec, which, b, j, certify=certify, budget=budget)
-        for which in CellPair
-    }
+    """The four cell maxima of one bound, in ``CellPair`` order, each equal
+    to its ``compute_cell_max``.
+
+    A global cell already in the memo is answered first.  The other cells'
+    candidates are enumerated once, in ``CellPair`` order, and the cells are
+    dealt longest first by candidate count, each to the list with fewer
+    candidates so far.  ``_search_split`` searches the list with more
+    candidates here and the other in a forked child, which starts later,
+    where a second CPU is ours.  A global cell searched in the child enters
+    the memo as ``_global_max`` stores it.
+    """
+    key = _global_key(b, j, certify, _CERT_TOL)
+    glob = {which for which in CellPair if _FAMILIES[(spec.kind, which)] is _global_max_families}
+    todo: dict[CellPair, list[Configuration]] = {}
+
+    def search(which: CellPair) -> CellMaxResult:
+        return compute_cell_max(spec, which, b, j, certify=certify, budget=budget,
+                                candidates=todo.get(which))
+
+    def load(side: list[CellPair]) -> int:
+        return sum(len(todo[which]) for which in side)
+
+    cells = {which: search(which) for which in CellPair if which in glob and key in _GLOBAL_MAXIMA}
+    for which in CellPair:
+        if which not in cells:
+            todo[which] = global_candidates(b, j) if which in glob else enumerate_candidates(spec, which, b, j)
+    lists: tuple[list[CellPair], list[CellPair]] = ([], [])
+    for which in sorted(todo, key=lambda which: -len(todo[which])):
+        min(lists, key=lambda side: (load(side), len(side))).append(which)
+    theirs, ours = sorted(lists, key=load)
+    cells.update(_search_split(search, ours, theirs))
+    for which in todo.keys() & glob:   # a no-op unless the child searched it
+        _GLOBAL_MAXIMA.setdefault(key, replace(cells[which], selector=None, exactness="attained"))
+    return {which: cells[which] for which in CellPair}
 
 
 def global_form_max(
@@ -620,4 +743,4 @@ def global_form_max(
     """Unconstrained maximum of the order-j polynomial over simplex pairs,
     certified with ``cert_tol`` 1e-9 when asked; its memo entry is the one
     the max partition's m2 and the min partition's m4 read."""
-    return _global_max(b, j, certify, 1e-9, budget)
+    return _global_max(b, j, certify, _CERT_TOL, budget)

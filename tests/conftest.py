@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -32,3 +34,12 @@ def fresh_global_maxima(monkeypatch):
     """Each test starts with an empty memo of global maxima, so a test that
     counts searches does not depend on which tests ran before it."""
     monkeypatch.setattr(optimize, "_GLOBAL_MAXIMA", {})
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No test leaves a child process behind, running or unreaped: a bound
+    whose cells search in a forked child must reap it on every path."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

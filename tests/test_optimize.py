@@ -1,11 +1,13 @@
 import functools
 import hashlib
 import itertools
+import os
+import time
 
 import numpy as np
 import pytest
 
-from hashbound import optimize
+from hashbound import optimize, presets
 from hashbound.configs import (
     _FEAS_TOL as _FEAS_PAD,
     Block,
@@ -945,6 +947,126 @@ def test_budget_exceeded():
     spec = PartitionSpec(PartitionKind.MAX_VALUE, 1 / 12)
     with pytest.raises(BudgetExceeded):
         compute_all_cell_maxima(spec, 15, 11, budget=Budget(1e-6))
+
+
+forked = pytest.mark.skipif(not optimize._forkable(), reason="the cells search in one process here")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of ``os.fork`` made during the test."""
+    made, fork = [], os.fork
+
+    def counted():
+        made.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+@forked
+def test_child_errors_reach_the_caller(monkeypatch, forks):
+    pre = presets.PARTITION_PRESETS[(5, 5)]
+    parent, real = os.getpid(), optimize.compute_cell_max
+
+    def out_of_budget(*args, **kwargs):   # a budget that runs out in the child
+        return real(*args, **{**kwargs, "budget": Budget(1e-6)})
+
+    def invalid(*args, **kwargs):
+        raise ValueError("bad cell")
+
+    def dies(*args, **kwargs):   # leaves without writing to the pipe
+        os._exit(3)
+
+    def searched_by(child_cell):   # the real search in the caller, child_cell in the child
+        def cell(*args, **kwargs):
+            return (real if os.getpid() == parent else child_cell)(*args, **kwargs)
+        return cell
+
+    for child_cell, error, match in ((out_of_budget, BudgetExceeded, None),
+                                     (invalid, ValueError, "bad cell"),
+                                     (dies, RuntimeError, "status 3")):
+        monkeypatch.setattr(optimize, "compute_cell_max", searched_by(child_cell))
+        forks.clear()
+        with pytest.raises(error, match=match):
+            compute_all_cell_maxima(pre.spec(), 5, pre.j)
+        assert forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@forked
+def test_caller_error_kills_a_running_child(monkeypatch, forks):
+    pre = presets.PARTITION_PRESETS[(7, 7)]
+    parent, calls = os.getpid(), []
+
+    def cell(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        calls.append(1)
+        raise ValueError("caller failed")
+
+    monkeypatch.setattr(optimize, "compute_cell_max", cell)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="caller failed"):
+        compute_all_cell_maxima(pre.spec(), 7, pre.j)
+    assert forks == [1] and calls == [1] and time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forked
+def test_split_runs_on_disjoint_cpus(monkeypatch, forks):
+    # the two processes take the two halves of the caller's CPU set, and the
+    # caller gets its whole set back
+    pre = presets.PARTITION_PRESETS[(7, 7)]
+    compute_all_cell_maxima(pre.spec(), 7, pre.j)   # the global cell is memoised
+    parent, before = os.getpid(), os.sched_getaffinity(0)
+    monkeypatch.setattr(optimize, "compute_cell_max",
+                        lambda *args, **kwargs: (os.getpid() == parent, frozenset(os.sched_getaffinity(0))))
+    cells = compute_all_cell_maxima(pre.spec(), 7, pre.j)
+    assert forks == [1, 1] and os.sched_getaffinity(0) == before
+    # the memoised cell is answered before the split, on the whole set
+    here = {cpus for at_parent, cpus in cells.values() if at_parent} - {frozenset(before)}
+    there = {cpus for at_parent, cpus in cells.values() if not at_parent}
+    assert len(here) == len(there) == 1
+    here, there = here.pop(), there.pop()
+    assert here and there and here.isdisjoint(there) and here | there == before
+
+
+def test_failed_fork_searches_every_cell_here(monkeypatch):
+    pre = presets.PARTITION_PRESETS[(7, 7)]
+    alone = {which: compute_cell_max(pre.spec(), which, 7, pre.j) for which in CellPair}
+    optimize._GLOBAL_MAXIMA.clear()
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert compute_all_cell_maxima(pre.spec(), 7, pre.j) == alone
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_split_cell_maxima_equal_the_per_cell_search(forks, certify):
+    # each cell searched on its own, in this process, against the split
+    # search, with the global memo empty and filled; every field to the bit
+    for b in (5, 6, 7):
+        pre = presets.PARTITION_PRESETS[(b, b)]
+        spec = pre.spec()
+        optimize._GLOBAL_MAXIMA.clear()
+        alone = {which: compute_cell_max(spec, which, b, pre.j, certify=certify) for which in CellPair}
+        memo = dict(optimize._GLOBAL_MAXIMA)
+        for warm in (False, True):
+            optimize._GLOBAL_MAXIMA.clear()
+            optimize._GLOBAL_MAXIMA.update(memo if warm else {})
+            got = compute_all_cell_maxima(spec, b, pre.j, certify=certify)
+            assert list(got) == list(CellPair)
+            assert got == alone, (b, warm)
+            assert optimize._GLOBAL_MAXIMA == memo, (b, warm)
+    assert len(forks) == (6 if optimize._forkable() else 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_bulk_bulk_dominates_uniform_value():
