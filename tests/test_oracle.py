@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from decimal import Decimal, localcontext
@@ -143,6 +144,24 @@ def test_sample_reports_are_pinned(case, pinned):
     kind, eps, b, j, which, count, seed = case
     rep = sample_subdomain(PartitionSpec(kind, eps), which, b, j, count, seed)
     assert (rep.evaluated, rep.best_value, rep.inconclusive, rep.best_p, rep.best_q) == pinned
+
+
+#: sha256 of the (evaluated, best_value, inconclusive, best_p, best_q) reprs,
+#: one line each, of the eps-sweep benchmark's eight sampling calls
+PINNED_SWEEP_SAMPLES = "4b061866a6a3a194c8cb87892e629edc79c252a78275e080405cf88fc7106056"
+
+
+def test_sweep_sized_sample_reports_are_pinned():
+    # 100,000 rows per call, all four selectors on the two eps-sweep pairs:
+    # each call takes two rounds of 65,536 + 34,464 rows, so the pin holds the
+    # random stream and every float through a second round
+    digest = hashlib.sha256()
+    for kind, eps, b, j in ((_MIN, 0.05, 6, 3), (_MAX, 0.09, 7, 5)):
+        for seed, which in enumerate(CellPair, start=31):
+            rep = sample_subdomain(PartitionSpec(kind, eps), which, b, j, 100_000, seed)
+            line = repr((rep.evaluated, rep.best_value, rep.inconclusive, rep.best_p, rep.best_q))
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_SWEEP_SAMPLES
 
 
 def test_min_tagged_vanishing_eps_samples_in_full():
