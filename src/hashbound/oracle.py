@@ -4,6 +4,8 @@
   of the cell pair, so engine values can be validated from below; the cells
   are drawn by direct constructions into coordinate-major buffers (one row
   per coordinate), and the exact membership predicates still filter every row;
+  the P side draws on a helper thread while the caller draws the Q side, and
+  the caller alone evaluates;
 * the (b,k)-hash property checker and an exhaustive tiny-length code search,
   grounding the definitions the asymptotic bounds speak about;
 * sampled inequality suites for the four exchange/merge lemmas the
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,41 +58,117 @@ def _tagged_mask(V: np.ndarray, spec: PartitionSpec, i: int) -> np.ndarray:
     return ok
 
 
-def _draw_bulk(rng: np.random.Generator, spec: PartitionSpec, b: int, n: int) -> np.ndarray:
-    # one row per coordinate; the buffer is made before the row-major draw
-    # it outlives, an order that keeps peak memory lower
-    V = np.empty((b, n))
-    V[...] = rng.dirichlet(np.ones(b), size=n).T
-    if spec.kind is PartitionKind.MIN_VALUE:
-        # {v >= eps} is the simplex scaled by 1 - b eps about eps 1
-        V *= 1.0 - b * spec.eps
-        V += spec.eps
-    ok = _bulk_mask(V.T, spec)
-    return V.T if ok.all() else V.T[ok]
+#: rows per block of a side's draw: one block's row-major exponentials are
+#: the only scratch of their kind, so no (n, b) array is made beside the
+#: caller's coordinate rows
+_BLOCK = 1 << 14
 
 
-def _draw_tagged(rng: np.random.Generator, spec: PartitionSpec, b: int, i: int, n: int) -> np.ndarray:
-    # one row per coordinate: the other b - 1 fill rows 1.. and the rows
-    # before i then move up one, leaving row i to the tagged coordinate
-    V = np.empty((b, n))
-    u = rng.random(n)
-    rest = V[1:]
-    rest[...] = rng.dirichlet(np.ones(b - 1), size=n).T
+class _Side:
+    """One side's buffers, owned by the caller: coordinate rows for up to
+    ``cap`` members, the first ``have`` of them drawn and waiting, and the
+    scratch of one block of draws."""
+
+    def __init__(self, b: int, cap: int, tag: int | None):
+        block = min(cap, _BLOCK)
+        self.V = np.empty((b, cap))
+        self.have = 0
+        self.exp = np.empty((block, b if tag is None else b - 1))
+        self.inv = np.empty(block)
+        # the tagged coordinate of every draw, and one block of its factor
+        self.vi = np.empty(0 if tag is None else cap)
+        self.factor = np.empty(0 if tag is None else block)
+
+    def rows(self) -> np.ndarray:
+        return self.V[:, : self.have].T
+
+    def keep(self, blk: np.ndarray, ok: np.ndarray) -> None:
+        """Count the members of ``blk``, the block just drawn after the
+        waiting rows, moving them up over the rejected ones."""
+        if ok.all():
+            self.have += blk.shape[1]
+        else:
+            m = int(ok.sum())
+            blk[:, :m] = blk[:, ok]
+            self.have += m
+
+    def drop(self, m: int) -> None:
+        """Let the first ``m`` waiting rows go; the rest move up."""
+        self.have -= m
+        if self.have:
+            self.V[:, : self.have] = self.V[:, m : m + self.have]
+
+
+def _exponentials(rng: np.random.Generator, side: _Side, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """One block of c Dirichlet(1) rows as (E, s): ``E * s[:, None]`` equals
+    ``rng.dirichlet(np.ones(k), size=c)`` bit for bit, generator state
+    included, since numpy draws each row as exponentials, sums them left to
+    right and multiplies by the reciprocal of the sum."""
+    E, s = side.exp[:c], side.inv[:c]
+    rng.standard_exponential(out=E)
+    np.copyto(s, E[:, 0])
+    for col in range(1, E.shape[1]):
+        s += E[:, col]
+    np.divide(1.0, s, out=s)
+    return E, s
+
+
+def _draw_bulk(rng: np.random.Generator, spec: PartitionSpec, b: int, n: int,
+               side: _Side | None = None) -> np.ndarray:
+    """Draw n candidates of the bulk cell; its members join ``side``'s
+    waiting rows (a new side of capacity n if None), returned as (have, b)."""
+    side = _Side(b, n, None) if side is None else side
+    for lo in range(0, n, _BLOCK):
+        c = min(_BLOCK, n - lo)
+        blk = side.V[:, side.have : side.have + c]
+        E, s = _exponentials(rng, side, c)
+        np.multiply(E.T, s, out=blk)
+        if spec.kind is PartitionKind.MIN_VALUE:
+            # {v >= eps} is the simplex scaled by 1 - b eps about eps 1
+            blk *= 1.0 - b * spec.eps
+            blk += spec.eps
+        side.keep(blk, _bulk_mask(blk.T, spec))
+    return side.rows()
+
+
+def _draw_tagged(rng: np.random.Generator, spec: PartitionSpec, b: int, i: int, n: int,
+                 side: _Side | None = None) -> np.ndarray:
+    """Draw n candidates of tagged cell i, as ``_draw_bulk`` does: the other
+    b - 1 coordinates fill the rows before and after row i, which takes the
+    tagged coordinate."""
+    side = _Side(b, n, i) if side is None else side
+    vi = rng.random(out=side.vi[:n])
     if spec.kind is PartitionKind.MAX_VALUE:
-        vi = 1.0 - spec.eps + spec.eps * u
-        rest *= 1.0 - vi
+        vi *= spec.eps
+        vi += 1.0 - spec.eps
     else:
         # v -> (m = v_i, v - m): the minimum m has density proportional to
         # (1 - b m)^(b-2) on [0, eps), drawn by inverse CDF; given m, the
         # rest is m plus the simplex scaled by 1 - b m
         scale = -np.expm1((b - 1) * math.log1p(-b * spec.eps))
-        vi = -np.expm1(np.log1p(-scale * u) / (b - 1)) / b
-        rest *= 1.0 - b * vi
-        rest += vi
-    V[:i] = V[1 : i + 1]
-    V[i] = vi
-    ok = _tagged_mask(V.T, spec, i)
-    return V.T if ok.all() else V.T[ok]
+        np.multiply(-scale, vi, out=vi)
+        np.log1p(vi, out=vi)
+        vi /= b - 1
+        np.expm1(vi, out=vi)
+        np.negative(vi, out=vi)
+        vi /= b
+    for lo in range(0, n, _BLOCK):
+        c = min(_BLOCK, n - lo)
+        v, f = vi[lo : lo + c], side.factor[:c]
+        blk = side.V[:, side.have : side.have + c]
+        E, s = _exponentials(rng, side, c)
+        if spec.kind is PartitionKind.MAX_VALUE:
+            np.subtract(1.0, v, out=f)
+        else:
+            np.subtract(1.0, np.multiply(v, b, out=f), out=f)
+        for dst, src in ((blk[:i], E[:, :i]), (blk[i + 1 :], E[:, i:])):
+            np.multiply(src.T, s, out=dst)
+            dst *= f
+            if spec.kind is PartitionKind.MIN_VALUE:
+                dst += v
+        blk[i] = v
+        side.keep(blk, _tagged_mask(blk.T, spec, i))
+    return side.rows()
 
 
 #: per selector, the tagged coordinate of each side's cell (None: the bulk)
@@ -98,6 +178,30 @@ _SELECTOR_CELLS = {
     CellPair.TAGGED_SAME: (0, 0),
     CellPair.TAGGED_CROSS: (0, 1),
 }
+
+
+def _beside(helper: Callable[[], None], caller: Callable[[], None]) -> None:
+    """Run ``helper`` on a new thread while this thread runs ``caller``.
+
+    The thread is joined on every path, so none outlives the call, and an
+    exception raised by ``helper`` is raised here, once ``caller`` is done.
+    """
+    failed: list[BaseException] = []
+
+    def run() -> None:
+        try:
+            helper()
+        except BaseException as exc:   # forwarded: the caller raises it
+            failed.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        caller()
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 @dataclass(frozen=True)
@@ -145,10 +249,23 @@ def sample_subdomain(
 
     The max tagged cell i takes v_i uniform on [1 - eps, 1) and the rest
     (1 - v_i) w, which weights v_i = 1 more than the uniform law does.
-    Draws are built in place, coordinate-major, and reach ``sep_batch`` as
+    Each side draws in place into buffers this call owns: coordinate rows
+    for up to 65,536 members, filled in blocks of 16,384 rows whose
+    exponentials are the only other scratch; they reach ``sep_batch`` as
     (n, b) views.  The exact membership predicates (strict inequalities
     included) stay the final filter, so every evaluated row is a true member;
-    rows one side has to spare wait for the other side.  If, after
+    rows one side has to spare wait for the other side.
+
+    In each round the P side draws on a helper thread while this thread
+    draws the Q side.  The two generators are independent and numpy
+    releases the GIL while it draws, so the draws overlap and every float is
+    the same as drawn one side after the other.  The helper is joined on
+    every path before the round is evaluated, and its exception, if any, is
+    raised here: no thread outlives the call, so a bound that follows can
+    still fork (``optimize._forkable``).  ``sep_batch`` runs on this thread
+    only, since the kernel's one workspace (``seppoly._work``) is not for
+    concurrent threads and in-process hooks on ``oracle.sep_batch``, such as
+    the benchmark's tracer, expect each call on the calling thread.  If, after
     max(1e5, 10 count) draws per side, fewer than one in 10^4 of them were
     evaluated, sampling stops and the report is inconclusive rather than an
     error.
@@ -159,34 +276,36 @@ def sample_subdomain(
     ss = np.random.SeedSequence(seed)
     rng_p, rng_q = (np.random.Generator(np.random.PCG64(s)) for s in ss.spawn(2))
     tags = _SELECTOR_CELLS[which]
+    cap = min(1 << 16, count)
+    P, Q = _Side(b, cap, tags[0]), _Side(b, cap, tags[1])
 
-    def top_up(S: np.ndarray, tag: int | None, rng: np.random.Generator, n: int) -> np.ndarray:
-        if len(S) >= n:
-            return S
-        k = n - len(S)
-        new = _draw_bulk(rng, spec, b, k) if tag is None else _draw_tagged(rng, spec, b, tag, k)
-        return np.concatenate((S, new)) if len(S) else new
+    def top_up(side: _Side, tag: int | None, rng: np.random.Generator, n: int) -> None:
+        if side.have < n:
+            if tag is None:
+                _draw_bulk(rng, spec, b, n - side.have, side)
+            else:
+                _draw_tagged(rng, spec, b, tag, n - side.have, side)
 
     best = -math.inf
     best_p = best_q = None
     got = 0
     proposed = 0
-    P = Q = np.empty((0, b))
     while got < count:
-        # top up both sides to n rows; one side's surplus waits for the other,
-        # copied out so the drawn buffers are freed first (lower peak memory)
+        # top up both sides to n rows, P on a helper thread; one side's
+        # surplus waits for the other
         n = min(1 << 16, count - got)
-        P, Q = top_up(P, tags[0], rng_p, n), top_up(Q, tags[1], rng_q, n)
+        _beside(lambda: top_up(P, tags[0], rng_p, n), lambda: top_up(Q, tags[1], rng_q, n))
         proposed += n
-        m = min(len(P), len(Q), n)
+        m = min(P.have, Q.have, n)
         if m:
-            vals = sep_batch(P[:m], Q[:m], j)
+            vals = sep_batch(P.V[:, :m].T, Q.V[:, :m].T, j)
             k = int(np.argmax(vals))
             if vals[k] > best:
                 best = float(vals[k])
-                best_p, best_q = P[k].copy(), Q[k].copy()
+                best_p, best_q = P.V[:, k].copy(), Q.V[:, k].copy()
             got += m
-            P, Q = P[m:].copy(), Q[m:].copy()
+            P.drop(m)
+            Q.drop(m)
         if proposed > max(100_000, 10 * count) and got < _INCONCLUSIVE_ACCEPT_RATE * proposed:
             break
     inconclusive = got < count

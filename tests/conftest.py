@@ -1,4 +1,5 @@
 import os
+import threading
 
 import pytest
 from hypothesis import settings
@@ -43,3 +44,11 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """No test leaves a thread behind: the sampler joins its helper thread on
+    every path, so a bound that follows it can still fork."""
+    yield
+    assert threading.active_count() == 1

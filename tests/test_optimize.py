@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hashbound import optimize, presets
+from hashbound.combiner import full_bound
 from hashbound.configs import (
     _FEAS_TOL as _FEAS_PAD,
     Block,
@@ -35,6 +36,7 @@ from hashbound.optimize import (
     global_form_max,
     maximize_config,
 )
+from hashbound.oracle import sample_subdomain
 from hashbound.seppoly import _sep_partials, sep_batch, sep_uniform_exact, SepParams
 
 from helpers import (
@@ -1033,6 +1035,17 @@ def test_split_runs_on_disjoint_cpus(monkeypatch, forks):
     assert len(here) == len(there) == 1
     here, there = here.pop(), there.pop()
     assert here and there and here.isdisjoint(there) and here | there == before
+
+
+@forked
+def test_bound_after_sampling_still_forks(forks):
+    # the sampler's helper thread is gone when it returns, so the next bound
+    # still splits its cells between two processes
+    pre = presets.PARTITION_PRESETS[(7, 7)]
+    sample_subdomain(pre.spec(), CellPair.BULK_TAGGED, 7, pre.j, 70_000, seed=5)
+    assert optimize._forkable()
+    full_bound(7, 7, pre.j, pre.spec())
+    assert forks == [1]
 
 
 def test_failed_fork_searches_every_cell_here(monkeypatch):

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import os
+import threading
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -162,6 +164,41 @@ def test_sweep_sized_sample_reports_are_pinned():
             line = repr((rep.evaluated, rep.best_value, rep.inconclusive, rep.best_p, rep.best_q))
             digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == PINNED_SWEEP_SAMPLES
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_draw_errors_reach_the_caller(monkeypatch, failing):
+    # the P side (spawn key (0,)) draws on a helper thread and the Q side
+    # (1,) here; an error on either side reaches the caller with its type,
+    # and the helper thread is joined first
+    draw, seen = oracle._draw_bulk, {}
+
+    def drawn(rng, *args):
+        (side,) = rng.bit_generator.seed_seq.spawn_key
+        seen[side] = threading.current_thread()
+        if side == failing:
+            raise ZeroDivisionError(f"side {side}")
+        return draw(rng, *args)
+
+    monkeypatch.setattr(oracle, "_draw_bulk", drawn)
+    spec = PartitionSpec(PartitionKind.MIN_VALUE, 0.05)
+    with pytest.raises(ZeroDivisionError, match=f"side {failing}"):
+        sample_subdomain(spec, CellPair.BULK_BULK, 6, 3, 1000, seed=1)
+    assert threading.active_count() == 1
+    assert seen[0] is not threading.main_thread() and seen[1] is threading.main_thread()
+
+
+def test_one_cpu_gives_the_pinned_report():
+    # the helper thread shares the caller's one CPU; the report is the same
+    case, pinned = next(entry for entry in _PINNED_SAMPLES if entry[0][5] == 70000)
+    kind, eps, b, j, which, count, seed = case
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        rep = sample_subdomain(PartitionSpec(kind, eps), which, b, j, count, seed)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert (rep.evaluated, rep.best_value, rep.inconclusive, rep.best_p, rep.best_q) == pinned
 
 
 def test_min_tagged_vanishing_eps_samples_in_full():
