@@ -113,11 +113,9 @@ def _exponentials(rng: np.random.Generator, side: _Side, c: int) -> tuple[np.nda
     return E, s
 
 
-def _draw_bulk(rng: np.random.Generator, spec: PartitionSpec, b: int, n: int,
-               side: _Side | None = None) -> np.ndarray:
+def _draw_bulk(rng: np.random.Generator, spec: PartitionSpec, b: int, n: int, side: _Side) -> np.ndarray:
     """Draw n candidates of the bulk cell; its members join ``side``'s
-    waiting rows (a new side of capacity n if None), returned as (have, b)."""
-    side = _Side(b, n, None) if side is None else side
+    waiting rows, returned as (have, b)."""
     for lo in range(0, n, _BLOCK):
         c = min(_BLOCK, n - lo)
         blk = side.V[:, side.have : side.have + c]
@@ -132,19 +130,20 @@ def _draw_bulk(rng: np.random.Generator, spec: PartitionSpec, b: int, n: int,
 
 
 def _draw_tagged(rng: np.random.Generator, spec: PartitionSpec, b: int, i: int, n: int,
-                 side: _Side | None = None) -> np.ndarray:
+                 side: _Side) -> np.ndarray:
     """Draw n candidates of tagged cell i, as ``_draw_bulk`` does: the other
     b - 1 coordinates fill the rows before and after row i, which takes the
     tagged coordinate."""
-    side = _Side(b, n, i) if side is None else side
     vi = rng.random(out=side.vi[:n])
     if spec.kind is PartitionKind.MAX_VALUE:
+        # v_i = 1 - eps + eps u, uniform on [1 - eps, 1)
         vi *= spec.eps
         vi += 1.0 - spec.eps
     else:
         # v -> (m = v_i, v - m): the minimum m has density proportional to
         # (1 - b m)^(b-2) on [0, eps), drawn by inverse CDF; given m, the
-        # rest is m plus the simplex scaled by 1 - b m
+        # rest is m plus the simplex scaled by 1 - b m; in place,
+        # m = -expm1(log1p(-scale u) / (b - 1)) / b
         scale = -np.expm1((b - 1) * math.log1p(-b * spec.eps))
         np.multiply(-scale, vi, out=vi)
         np.log1p(vi, out=vi)

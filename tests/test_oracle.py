@@ -233,11 +233,11 @@ def test_direct_draws_are_members_with_negligible_rejection(kind, b):
         max_bulk_share = b * eps ** (b - 1) if kind is PartitionKind.MAX_VALUE else 0.0
         for tag in (None, 0, 1):
             if tag is None:
-                V = oracle._draw_bulk(rng, spec, b, n)
+                V = oracle._draw_bulk(rng, spec, b, n, oracle._Side(b, n, None))
                 members = [in_bulk(v, spec) for v in V]
                 share = max_bulk_share
             else:
-                V = oracle._draw_tagged(rng, spec, b, tag, n)
+                V = oracle._draw_tagged(rng, spec, b, tag, n, oracle._Side(b, n, tag))
                 members = [in_tagged(v, spec, tag) for v in V]
                 share = 0.0
             assert V.shape[1] == b and all(members), (eps, tag)
@@ -256,9 +256,9 @@ def test_min_partition_draws_match_rejection_law(b, j, eps):
     direct, reference = {}, {}
     for tag in (None, 0, 1):
         if tag is None:
-            direct[tag] = oracle._draw_bulk(rng, spec, b, _LAW_ROWS)
+            direct[tag] = oracle._draw_bulk(rng, spec, b, _LAW_ROWS, oracle._Side(b, _LAW_ROWS, None))
         else:
-            direct[tag] = oracle._draw_tagged(rng, spec, b, tag, _LAW_ROWS)
+            direct[tag] = oracle._draw_tagged(rng, spec, b, tag, _LAW_ROWS, oracle._Side(b, _LAW_ROWS, tag))
         reference[tag] = rejection_sample(rng, spec, b, tag, _LAW_ROWS)
         assert len(direct[tag]) == _LAW_ROWS
     crit = ks_critical(_LAW_ROWS, _LAW_ROWS)
@@ -279,7 +279,7 @@ def test_min_tagged_minimum_law_at_vanishing_eps(eps):
     # evaluated in 50-digit decimal: a vanishing eps keeps its relative precision
     b, n = 6, 5000
     spec = PartitionSpec(PartitionKind.MIN_VALUE, eps)
-    m = np.sort(oracle._draw_tagged(np.random.default_rng(9), spec, b, 1, n)[:, 1])
+    m = np.sort(oracle._draw_tagged(np.random.default_rng(9), spec, b, 1, n, oracle._Side(b, n, 1))[:, 1])
     assert len(m) == n and m[-1] < eps
     with localcontext() as ctx:
         ctx.prec = 50
