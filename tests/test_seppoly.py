@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -73,6 +74,36 @@ def test_naive_guards():
         sep_naive((1 / 9,) * 9, (1 / 9,) * 9, SepParams(9, 4))
     with pytest.raises(DimensionMismatch):
         sep_naive((0.2,) * 5, (1 / 6,) * 6, SepParams(6, 4))
+
+
+def _naive_pin_stacks(b: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """64 Dirichlet pairs seeded by (b, j), then the uniform pair, a vertex
+    against the uniform vector on the other coordinates, and a pair with
+    zeros."""
+    rng = np.random.default_rng([b, j])
+    P = rng.dirichlet(np.ones(b), size=64)
+    Q = rng.dirichlet(np.ones(b), size=64)
+    zp, zq = np.zeros(b), np.zeros(b)
+    zp[:2], zq[-2:] = (0.4, 0.6), (0.7, 0.3)
+    spread = np.r_[0.0, np.full(b - 1, 1 / (b - 1))]
+    P = np.vstack([P, np.full(b, 1 / b), np.eye(b)[0], zp])
+    Q = np.vstack([Q, np.full(b, 1 / b), spread, zq])
+    return P, Q
+
+
+#: sha256 of ``float.hex`` of every ``sep_naive`` value, one line each, over
+#: ``_naive_pin_stacks(b, j)`` for b = 3..7 and every j, in that order
+PINNED_NAIVE = "77b5371e77123aa9adc4d6663cc0ed6228e9d45ed6130b4be254a8243dcc6372"
+
+
+def test_naive_values_are_pinned():
+    digest = hashlib.sha256()
+    for b in range(3, 8):
+        for j in range(2, b):
+            P, Q = _naive_pin_stacks(b, j)
+            for p, q in zip(P, Q):
+                digest.update(float.hex(sep_naive(p, q, SepParams(b, j))).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_NAIVE
 
 
 def test_fast_uniform_seven_five():
