@@ -262,9 +262,9 @@ def sample_subdomain(
     every path before the round is evaluated, and its exception, if any, is
     raised here: no thread outlives the call, so a bound that follows can
     still fork (``optimize._forkable``).  ``sep_batch`` runs on this thread
-    only, since the kernel's one workspace (``seppoly._work``) is not for
-    concurrent threads and in-process hooks on ``oracle.sep_batch``, such as
-    the benchmark's tracer, expect each call on the calling thread.  If, after
+    only because in-process hooks on ``oracle.sep_batch``, such as the
+    benchmark's tracer, expect each call on the calling thread; the kernel
+    itself takes turns between threads.  If, after
     max(1e5, 10 count) draws per side, fewer than one in 10^4 of them were
     evaluated, sampling stops and the report is inconclusive rather than an
     error.

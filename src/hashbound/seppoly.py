@@ -28,8 +28,10 @@ in t and degree 1 in s; ``_sep_partials`` runs the same recurrence with one
 coordinate's factor left out per row, which yields the partial derivatives
 the certifier's centred-form bound needs.  Both share one banded pass,
 ``_generate``, which runs every call in chunks in one module-level workspace
-on cached views; ``sep_naive`` enumerates tuples literally and serves as the
-verification battery's independent oracle for small b.
+on cached views; both hold one module-level lock around it, so threads may
+call them and take turns in the workspace.  ``sep_naive`` enumerates the
+tuples literally, over stacks of pairs, and serves as the verification
+battery's independent oracle for small b.
 
 All monomials have nonnegative coefficients, and every coefficient update is
 a sum of products of nonnegative numbers, so evaluation involves no
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,8 +56,11 @@ NAIVE_B_CAP = 8
 
 #: rows per chunk of the bulk evaluator, keeps the workspace near 2 MB at b = 7
 _BATCH_CHUNK = 4096
-#: the one workspace every call runs in (``_views``); not for concurrent threads
+#: the one workspace every call runs in (``_views``), held under ``_lock``
 _work = np.empty(0)
+#: taken by ``sep_batch`` and ``_sep_partials`` around their pass, so that
+#: threads take turns in the workspace
+_lock = threading.Lock()
 
 
 class DimensionMismatch(ValueError):
@@ -79,23 +85,26 @@ class SepParams:
             raise ValueError(f"order j={self.j} must satisfy 2 <= j <= b-1={self.b - 1}")
 
 
-def sep_naive(p, q, params: SepParams) -> float:
+def sep_naive(P, Q, params: SepParams) -> np.ndarray:
     """Literal tuple-enumeration evaluator; independent oracle, b <= NAIVE_B_CAP only.
 
-    ``p`` and ``q`` are plain length-b sequences of nonnegative reals.
+    P, Q have shape (N, b) with rows paired, as for ``sep_batch``; returns
+    shape (N,).  Each tuple's products run down coordinate rows, from ones,
+    in the tuple's order, and add to the running total in enumeration order,
+    so every row gets the one-pair loop's operations in its order, bit for bit.
     """
-    if len(p) != params.b or len(q) != params.b:
-        raise DimensionMismatch(f"expected dimension {params.b}, got {len(p)} and {len(q)}")
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    if P.shape != Q.shape or P.ndim != 2 or P.shape[1] != params.b:
+        raise DimensionMismatch(f"paired (N, {params.b}) stacks required, got {P.shape} and {Q.shape}")
     if params.b > NAIVE_B_CAP:
         raise NaiveCapExceeded(f"b={params.b} exceeds naive cap {NAIVE_B_CAP}")
-    pv = [float(v) for v in p]
-    qv = [float(v) for v in q]
+    pv, qv = P.T.copy(), Q.T.copy()
     j = params.j
-    total = 0.0
+    total = np.zeros(P.shape[0])
     for tup in permutations(range(params.b), j + 1):
         m = tup[j]
-        pprod = 1.0
-        qprod = 1.0
+        pprod = np.ones(P.shape[0])
+        qprod = np.ones(P.shape[0])
         for i in tup[:j]:
             pprod *= pv[i]
             qprod *= qv[i]
@@ -171,7 +180,7 @@ def _generate(P: np.ndarray, Q: np.ndarray, ja: int, jb: int,
     (``_row_bands``).  Each chunk runs on the workspace's views of width n
     rounded up to a multiple of 64 (``_views``), its padded columns zeroed.
     Each product goes to T before its add, so an update reads the previous
-    coordinate's rows."""
+    coordinate's rows.  Callers hold ``_lock`` until the pass ends."""
     N, b = P.shape
     for lo in range(0, N, _BATCH_CHUNK):
         n = min(_BATCH_CHUNK, N - lo)
@@ -208,8 +217,9 @@ def sep_batch(P: np.ndarray, Q: np.ndarray, j: int) -> np.ndarray:
         raise DimensionMismatch(f"paired stacks required, got {P.shape} and {Q.shape}")
     jf = float(math.factorial(j))
     out = np.empty(P.shape[0])
-    for lo, n, _A, B in _generate(P, Q, 0, j):
-        np.multiply(np.add(B[j, 0, :n], B[j, 1, :n], out[lo : lo + n]), jf, out[lo : lo + n])
+    with _lock:
+        for lo, n, _A, B in _generate(P, Q, 0, j):
+            np.multiply(np.add(B[j, 0, :n], B[j, 1, :n], out[lo : lo + n]), jf, out[lo : lo + n])
     return out
 
 
@@ -232,7 +242,8 @@ def _sep_partials(P: np.ndarray, Q: np.ndarray, j: int, drop: np.ndarray) -> tup
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     jf = float(math.factorial(j))
     dp, dq = np.empty(P.shape[0]), np.empty(P.shape[0])
-    for lo, n, A, B in _generate(P, Q, j, j - 1, drop):
-        np.multiply(np.add(B[j - 1, 0, :n], A[j, 1, :n], dp[lo : lo + n]), jf, dp[lo : lo + n])
-        np.multiply(np.add(A[j, 0, :n], B[j - 1, 1, :n], dq[lo : lo + n]), jf, dq[lo : lo + n])
+    with _lock:
+        for lo, n, A, B in _generate(P, Q, j, j - 1, drop):
+            np.multiply(np.add(B[j - 1, 0, :n], A[j, 1, :n], dp[lo : lo + n]), jf, dp[lo : lo + n])
+            np.multiply(np.add(A[j, 0, :n], B[j - 1, 1, :n], dq[lo : lo + n]), jf, dq[lo : lo + n])
     return dp, dq

@@ -1,14 +1,17 @@
 import hashlib
 import math
-from fractions import Fraction
-
+import sys
+import threading
 import weakref
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hashbound import seppoly
+from hashbound import optimize, presets, seppoly
+from hashbound.combiner import full_bound
 from hashbound.seppoly import (
     DimensionMismatch,
     NaiveCapExceeded,
@@ -47,17 +50,22 @@ def test_params_validation():
         SepParams(1, 2)
 
 
+def _naive_row(p, q, params: SepParams) -> float:
+    """``sep_naive`` on a single (p, q) pair."""
+    return float(sep_naive([p], [q], params)[0])
+
+
 def test_naive_uniform_six_four():
     params = SepParams(6, 4)
     u = (1 / 6,) * 6
-    assert sep_naive(u, u, params) == pytest.approx(5 / 27, abs=1e-12)
+    assert _naive_row(u, u, params) == pytest.approx(5 / 27, abs=1e-12)
 
 
 def test_naive_vertex_against_spread():
     params = SepParams(6, 4)
     p = (1.0, 0, 0, 0, 0, 0)
     q = (0.0,) + (0.2,) * 5
-    assert sep_naive(p, q, params) == pytest.approx(0.192, abs=1e-12)
+    assert _naive_row(p, q, params) == pytest.approx(0.192, abs=1e-12)
 
 
 def test_naive_zero_when_support_too_small():
@@ -65,15 +73,20 @@ def test_naive_zero_when_support_too_small():
     params = SepParams(6, 4)
     p = (0.4, 0.6, 0, 0, 0, 0)
     q = (0, 0, 0.7, 0.3, 0, 0)
-    assert sep_naive(p, q, params) == 0.0
+    assert _naive_row(p, q, params) == 0.0
     assert _one_row(p, q, params.j) == 0.0
 
 
 def test_naive_guards():
     with pytest.raises(NaiveCapExceeded):
-        sep_naive((1 / 9,) * 9, (1 / 9,) * 9, SepParams(9, 4))
-    with pytest.raises(DimensionMismatch):
-        sep_naive((0.2,) * 5, (1 / 6,) * 6, SepParams(6, 4))
+        sep_naive(np.full((3, 9), 1 / 9), np.full((3, 9), 1 / 9), SepParams(9, 4))
+    u = np.full((3, 6), 1 / 6)
+    for P, Q in ((np.full((3, 5), 0.2), u),        # b differs between the stacks
+                 (u, u[:2]),                       # N differs
+                 (np.full((3, 5), 0.2),) * 2,      # b differs from the params'
+                 (u[0], u[0])):                    # one pair, not a stack
+        with pytest.raises(DimensionMismatch):
+            sep_naive(P, Q, SepParams(6, 4))
 
 
 def _naive_pin_stacks(b: int, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,9 +113,8 @@ def test_naive_values_are_pinned():
     digest = hashlib.sha256()
     for b in range(3, 8):
         for j in range(2, b):
-            P, Q = _naive_pin_stacks(b, j)
-            for p, q in zip(P, Q):
-                digest.update(float.hex(sep_naive(p, q, SepParams(b, j))).encode() + b"\n")
+            for v in sep_naive(*_naive_pin_stacks(b, j), SepParams(b, j)):
+                digest.update(float.hex(float(v)).encode() + b"\n")
     assert digest.hexdigest() == PINNED_NAIVE
 
 
@@ -124,9 +136,9 @@ def test_fast_matches_naive_oracle():
     params = SepParams(6, 3)
     P = rng.dirichlet(np.ones(6), size=300)
     Q = rng.dirichlet(np.ones(6), size=300)
-    fast = sep_batch(P, Q, params.j)
-    for i in range(300):
-        assert abs(fast[i] - sep_naive(P[i], Q[i], params)) <= 1e-12
+    naive = sep_naive(P, Q, params)
+    assert naive.shape == (300,)
+    assert np.abs(sep_batch(P, Q, params.j) - naive).max() <= 1e-12
 
 
 def test_batch_matches_fast_and_batched_oracle():
@@ -292,6 +304,53 @@ def test_back_to_back_calls_leave_earlier_results_intact(N, monkeypatch):
     outputs = [g for _call, got, _old in results for g in got]
     for i, g in enumerate(outputs):
         assert not any(np.shares_memory(g, other) for other in outputs[i + 1 :])
+
+
+def test_threads_take_turns_in_the_workspace():
+    # numpy releases the GIL inside ufuncs, so two threads in the one
+    # workspace would overwrite each other's rows: two threads run
+    # ``sep_batch`` on four (b, j) and ``_sep_partials`` while a third runs a
+    # preset bound from an empty global memo, which keeps its cells in this
+    # process; every result equals the one-thread result to the bit
+    rng = np.random.default_rng(18)
+    cases = []
+    for b, j, n in ((7, 5, 300), (6, 4, _BATCH_CHUNK + 70), (9, 7, 64), (5, 3, 1)):
+        P, Q = rng.dirichlet(np.ones(b), size=n), rng.dirichlet(np.ones(b), size=n)
+        cases.append((P, Q, j, rng.integers(0, b, n)))
+    want = [(sep_batch(P, Q, j), *_sep_partials(P, Q, j, drop)) for P, Q, j, drop in cases]
+    pre = presets.PARTITION_PRESETS[(5, 5)]
+    want_bound = replace(full_bound(5, 5, pre.j, pre.spec()), elapsed_secs=0.0)
+    optimize._GLOBAL_MAXIMA.clear()
+    bound_done, got, bounds = threading.Event(), [], []
+
+    def kernel_calls():
+        rounds = 0
+        while rounds < 5 or not bound_done.is_set():
+            got.append([(sep_batch(P, Q, j), *_sep_partials(P, Q, j, drop)) for P, Q, j, drop in cases])
+            rounds += 1
+
+    def bound():
+        try:
+            bounds.append(replace(full_bound(5, 5, pre.j, pre.spec()), elapsed_secs=0.0))
+        finally:
+            bound_done.set()
+
+    threads = [threading.Thread(target=f) for f in (kernel_calls, kernel_calls, bound)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert bounds == [want_bound]
+    assert len(got) >= 10
+    for results in got:
+        for res, ref in zip(results, want, strict=True):
+            assert all(r.tobytes() == w.tobytes() for r, w in zip(res, ref, strict=True))
 
 
 def test_sep_partials_match_exact_differences():

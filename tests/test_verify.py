@@ -2,24 +2,14 @@ import hashbound.verify
 from hashbound.verify import check_oracle_equivalence, run_verification
 
 
-def _trimmed(seed=42):
-    return run_verification(
-        seed=seed,
-        naive_count=300,
-        lemma_count=1500,
-        eta_count=10000,
-        dominance_count=4000,
-    )
-
-
 def test_default_battery_passes():
-    checks = _trimmed()
+    checks = run_verification(seed=42)
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
 
 def test_battery_deterministic():
-    a = _trimmed(seed=7)
-    b = _trimmed(seed=7)
+    a = run_verification(seed=7)
+    b = run_verification(seed=7)
     assert a == b
 
 
